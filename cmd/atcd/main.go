@@ -4,24 +4,24 @@
 // against pluggable latency sources and slice actuators — the deployment
 // shape available without hypervisor modifications.
 //
-// Backends:
+// Every backend runs the same control loop, the sharded fleet control
+// plane (internal/daemon.Fleet), which decides per node:
 //
-//	-backend demo    synthesize a contention episode and print the
-//	                 control trajectory (default)
-//	-backend stdio   one period per input line group: lines of
+//	-backend demo    synthesize a contention episode on one node and
+//	                 print the control trajectory (default)
+//	-backend stdio   one node; one period per input line group: lines of
 //	                 "<vmID> <avg-latency-us> <parallel:0|1> [admin-us]"
 //	                 terminated by "--"; emits "vm<N> <slice>us" lines
-//	-backend sim     close the loop against a live simulated cluster:
-//	                 the daemon samples real spinlock latencies from the
-//	                 simulator and actuates its schedulers' slices
+//	-backend sim     close the loop against a live simulated cluster
+//	                 (2 nodes unless -nodes is set): the daemon samples
+//	                 real spinlock latencies from the simulator and
+//	                 actuates each node's scheduler slices
 //
-// Fleet mode (-nodes N, N >= 1) replaces the single-node loop with the
-// sharded fleet control plane (internal/daemon.Fleet) over a simulated
-// N-node cluster; it implies the sim backend:
+// Fleet shape and state:
 //
-//	-nodes N         drive N nodes through the fleet pipeline
+//	-nodes N         simulate N nodes (implies -backend sim)
 //	-shards S        shard the per-node controller state S ways
-//	-hollow          kubemark-style hollow nodes (one light VM each)
+//	-hollow          sim: kubemark-style hollow nodes (one light VM each)
 //	-snapshot f.json write a control-plane snapshot at exit
 //	-restore f.json  resume from a snapshot written by -snapshot
 //
@@ -89,11 +89,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		beta      = fs.Float64("beta", 0.3, "fine adjustment step in ms")
 		periods   = fs.Int("periods", 40, "demo/sim: number of control periods")
 		swap      = fs.String("swap", "", `sim: scheduled policy switches "period:node:KIND[,...]" (node -1 = all), e.g. "10:-1:ATC"`)
-		nodes     = fs.Int("nodes", 0, "run the sharded fleet control plane over this many sim nodes (0 = single-node daemon)")
-		shards    = fs.Int("shards", 0, "fleet: decider/applier shard count (default 1)")
-		hollow    = fs.Bool("hollow", false, "fleet: hollow kubemark-style nodes — one light VM per node")
-		snapshot  = fs.String("snapshot", "", "fleet: write a control-plane snapshot to this file at exit")
-		restore   = fs.String("restore", "", "fleet: restore control-plane state from this snapshot file at start")
+		nodes     = fs.Int("nodes", 0, "simulate this many nodes (implies -backend sim; 0 = the sim default of 2)")
+		shards    = fs.Int("shards", 0, "decider/applier shard count (default 1)")
+		hollow    = fs.Bool("hollow", false, "sim: hollow kubemark-style nodes — one light VM per node")
+		snapshot  = fs.String("snapshot", "", "write a control-plane snapshot to this file at exit")
+		restore   = fs.String("restore", "", "restore control-plane state from this snapshot file at start")
 		listen    = fs.String("listen", "", "serve /metrics and /debug/atc on this address (e.g. :9090)")
 		timeline  = fs.String("timeline", "", "sim: write a Chrome/Perfetto timeline to this file at exit")
 		jsonl     = fs.String("jsonl", "", "sim: write the telemetry JSONL dump to this file at exit")
@@ -117,33 +117,24 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if *backend == "stdio" {
 			return fmt.Errorf("-nodes requires the sim backend, not %q", *backend)
 		}
-		return runFleet(cfg, fleetParams{
-			nodes:    *nodes,
-			shards:   *shards,
-			periods:  *periods,
-			hollow:   *hollow,
-			swap:     *swap,
-			listen:   *listen,
-			snapshot: *snapshot,
-			restore:  *restore,
-			timeline: *timeline,
-			jsonl:    *jsonl,
-		}, stdout, stderr)
-	}
-	if *snapshot != "" || *restore != "" {
-		return fmt.Errorf("-snapshot/-restore need fleet mode (-nodes N)")
+		*backend = "sim"
 	}
 
-	// Any observability output needs the telemetry plane; the daemon and
+	// Any observability output needs the telemetry plane; the fleet and
 	// (for -backend sim) the simulated world publish into it.
 	var plane *telemetry.Plane
 	if *listen != "" || *timeline != "" || *jsonl != "" {
 		plane = telemetry.New(telemetry.Options{})
 	}
 
-	var src daemon.Source
-	var act daemon.Actuator = daemon.WriterActuator{W: stdout}
-	var sb *daemon.SimBackend
+	// demo and stdio drive one node; sim drives every simulated node.
+	var (
+		src      daemon.FleetSource
+		act      daemon.FleetActuator = daemon.WriterActuator{W: stdout}
+		sb       *daemon.SimBackend
+		maxNodes = 1
+		clock    func() sim.Time
+	)
 	switch *backend {
 	case "demo":
 		src = demoSource(*periods)
@@ -155,10 +146,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		sb, err = daemon.NewSimBackend(daemon.SimBackendConfig{
+			Nodes:      *nodes,
 			Class:      workload.ClassB,
 			MaxPeriods: *periods,
 			Switches:   switches,
 			Telemetry:  plane,
+			Hollow:     *hollow,
 		})
 		if err != nil {
 			return err
@@ -170,20 +163,26 @@ func run(args []string, stdout, stderr io.Writer) error {
 			sb.World.SetTracer(vmm.NewTracer(timelineTraceCap))
 		}
 		src, act = sb, sb
+		maxNodes = len(sb.World.Nodes())
+		clock = sb.Now
 	default:
 		return fmt.Errorf("unknown backend %q", *backend)
 	}
-	d := daemon.New(cfg, src, act)
+	f := daemon.NewFleet(cfg, src, act, daemon.FleetOptions{Shards: *shards, MaxNodes: maxNodes})
+	defer f.Close()
 	if plane != nil {
-		var clock func() sim.Time
-		if sb != nil {
-			clock = func() sim.Time { return sb.World.Eng.Now() }
+		f.SetTelemetry(plane.Global(), clock)
+	}
+	if *restore != "" {
+		if err := restoreFleet(f, *restore); err != nil {
+			return err
 		}
-		d.SetTelemetry(plane.Global(), clock)
+		fmt.Fprintf(stderr, "atcd: restored %d nodes from %s (%d skipped)\n",
+			f.RestoredNodes(), *restore, f.SkippedRestoreNodes())
 	}
 
-	// SIGINT/SIGTERM stop the control loop at its next step boundary and,
-	// once the loop has returned and artifacts are flushed, end the
+	// SIGINT/SIGTERM stop the control loop at its next period boundary
+	// and, once the loop has returned and artifacts are flushed, end the
 	// process cleanly (the HTTP surface shuts down gracefully).
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
@@ -194,7 +193,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		select {
 		case <-sigc:
 			close(interrupted)
-			d.Stop()
+			f.Stop()
 		case <-loopDone:
 		}
 	}()
@@ -206,13 +205,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		srv = &http.Server{Handler: telemetry.Handler(plane.Snapshot, func() map[string]any {
-			st := d.Stats()
+			table := f.Table()
+			if sb != nil {
+				policies := sb.NodePolicies()
+				for i := range table {
+					if n := table[i].Node; n >= 0 && n < len(policies) {
+						table[i].Policy = policies[n]
+					}
+				}
+			}
 			return map[string]any{
-				"periods":         d.Periods(),
-				"retries":         st.Retries,
-				"dropped_periods": st.DroppedPeriods,
-				"stale_samples":   st.StaleSamples,
-				"degraded":        st.Degraded,
+				"fleet": f.Summary(),
+				"nodes": table,
 			}
 		})}
 		fmt.Fprintf(stderr, "atcd: serving telemetry on http://%s\n", ln.Addr())
@@ -223,12 +227,27 @@ func run(args []string, stdout, stderr io.Writer) error {
 		defer srv.Close()
 	}
 
-	runErr := d.Run()
+	runErr := f.Run()
 	close(loopDone)
 	if runErr != nil && !daemon.IsDone(runErr) {
 		return runErr
 	}
-	fmt.Fprintf(stderr, "atcd: %d control periods executed\n", d.Periods())
+	fmt.Fprintf(stderr, "atcd: %d control periods executed (fleet of %d nodes, %d decisions applied)\n",
+		f.Periods(), len(f.Nodes()), f.Decisions())
+
+	// The snapshot is taken at the final period barrier (all queues
+	// drained), so it is deterministic.
+	if *snapshot != "" {
+		snap := f.Snapshot()
+		enc, err := snap.Encode()
+		if err != nil {
+			return fmt.Errorf("snapshot: %w", err)
+		}
+		if err := os.WriteFile(*snapshot, enc, 0o644); err != nil {
+			return fmt.Errorf("snapshot: %w", err)
+		}
+		fmt.Fprintf(stderr, "atcd: snapshot of %d nodes written to %s\n", len(snap.Nodes), *snapshot)
+	}
 	if sb != nil {
 		sb.FinalizeTelemetry(plane)
 		var rounds int
@@ -258,150 +277,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// fleetParams carries the fleet-mode flag values into runFleet.
-type fleetParams struct {
-	nodes, shards, periods    int
-	hollow                    bool
-	swap                      string
-	listen, snapshot, restore string
-	timeline, jsonl           string
-}
-
-// runFleet drives the sharded fleet control plane against a simulated
-// N-node cluster: restore-at-start, the same signal/HTTP lifecycle as
-// the single-node path, and snapshot-at-exit taken at the final period
-// barrier (all queues drained, so the snapshot is deterministic).
-func runFleet(cfg core.Config, p fleetParams, stdout, stderr io.Writer) error {
-	var plane *telemetry.Plane
-	if p.listen != "" || p.timeline != "" || p.jsonl != "" {
-		plane = telemetry.New(telemetry.Options{})
-	}
-	switches, err := parseSwitches(p.swap)
+// restoreFleet loads the snapshot file at path into f.
+func restoreFleet(f *daemon.Fleet, path string) error {
+	raw, err := os.ReadFile(path)
 	if err != nil {
-		return err
+		return fmt.Errorf("restore: %w", err)
 	}
-	sb, err := daemon.NewSimBackend(daemon.SimBackendConfig{
-		Nodes:      p.nodes,
-		Class:      workload.ClassB,
-		MaxPeriods: p.periods,
-		Switches:   switches,
-		Telemetry:  plane,
-		Hollow:     p.hollow,
-	})
+	snap, err := daemon.DecodeSnapshot(raw)
 	if err != nil {
-		return err
+		return fmt.Errorf("restore %s: %w", path, err)
 	}
-	if p.timeline != "" {
-		sb.World.SetTracer(vmm.NewTracer(timelineTraceCap))
-	}
-	f := daemon.NewFleet(cfg, sb, sb, daemon.FleetOptions{
-		Shards:   p.shards,
-		MaxNodes: p.nodes,
-	})
-	defer f.Close()
-	if plane != nil {
-		f.SetTelemetry(plane.Global(), sb.Now)
-	}
-
-	if p.restore != "" {
-		raw, err := os.ReadFile(p.restore)
-		if err != nil {
-			return fmt.Errorf("restore: %w", err)
-		}
-		snap, err := daemon.DecodeSnapshot(raw)
-		if err != nil {
-			return fmt.Errorf("restore %s: %w", p.restore, err)
-		}
-		if err := f.Restore(snap); err != nil {
-			return fmt.Errorf("restore %s: %w", p.restore, err)
-		}
-		fmt.Fprintf(stderr, "atcd: restored %d nodes from %s (%d skipped)\n",
-			f.RestoredNodes(), p.restore, f.SkippedRestoreNodes())
-	}
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigc)
-	loopDone := make(chan struct{})
-	interrupted := make(chan struct{})
-	go func() {
-		select {
-		case <-sigc:
-			close(interrupted)
-			f.Stop()
-		case <-loopDone:
-		}
-	}()
-
-	var srv *http.Server
-	if p.listen != "" {
-		ln, err := net.Listen("tcp", p.listen)
-		if err != nil {
-			return err
-		}
-		srv = &http.Server{Handler: telemetry.Handler(plane.Snapshot, func() map[string]any {
-			table := f.Table()
-			policies := sb.NodePolicies()
-			for i := range table {
-				if n := table[i].Node; n >= 0 && n < len(policies) {
-					table[i].Policy = policies[n]
-				}
-			}
-			return map[string]any{
-				"fleet": f.Summary(),
-				"nodes": table,
-			}
-		})}
-		fmt.Fprintf(stderr, "atcd: serving telemetry on http://%s\n", ln.Addr())
-		if listenReady != nil {
-			listenReady(ln.Addr().String())
-		}
-		go func() { _ = srv.Serve(ln) }()
-		defer srv.Close()
-	}
-
-	runErr := f.Run()
-	close(loopDone)
-	if runErr != nil && !daemon.IsDone(runErr) {
-		return runErr
-	}
-	fmt.Fprintf(stderr, "atcd: fleet of %d nodes: %d control periods, %d decisions applied\n",
-		len(f.Nodes()), f.Periods(), f.Decisions())
-
-	if p.snapshot != "" {
-		snap := f.Snapshot()
-		enc, err := snap.Encode()
-		if err != nil {
-			return fmt.Errorf("snapshot: %w", err)
-		}
-		if err := os.WriteFile(p.snapshot, enc, 0o644); err != nil {
-			return fmt.Errorf("snapshot: %w", err)
-		}
-		fmt.Fprintf(stderr, "atcd: snapshot of %d nodes written to %s\n", len(snap.Nodes), p.snapshot)
-	}
-
-	sb.FinalizeTelemetry(plane)
-	var rounds int
-	for _, r := range sb.Runs() {
-		rounds += r.Rounds()
-	}
-	fmt.Fprintf(stdout, "sim backend: %d application rounds completed in %v of virtual time\n",
-		rounds, sb.World.Eng.Now())
-	if err := flushArtifacts(p.timeline, p.jsonl, plane, sb); err != nil {
-		return err
-	}
-	if srv != nil {
-		select {
-		case <-interrupted:
-		case <-sigc:
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		err := srv.Shutdown(ctx)
-		cancel()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stderr, "atcd: telemetry server closed")
+	if err := f.Restore(snap); err != nil {
+		return fmt.Errorf("restore %s: %w", path, err)
 	}
 	return nil
 }
@@ -470,7 +357,7 @@ func parseSwitches(s string) ([]daemon.PolicySwitch, error) {
 
 // demoSource synthesizes a parallel VM going through idle → rising
 // contention → decay → idle, next to a non-parallel neighbour.
-func demoSource(periods int) daemon.Source {
+func demoSource(periods int) daemon.FleetSource {
 	var ps [][]daemon.VMSample
 	for i := 0; i < periods; i++ {
 		var lat sim.Time
@@ -490,13 +377,15 @@ func demoSource(periods int) daemon.Source {
 	return &daemon.SliceSource{Periods: ps}
 }
 
-// stdioSource parses period groups from stdin.
+// stdioSource parses period groups from stdin as node 0's batches.
 type stdioSource struct {
 	r *bufio.Scanner
 }
 
-// Sample implements daemon.Source.
-func (s *stdioSource) Sample() ([]daemon.VMSample, error) {
+// SampleFleet implements daemon.FleetSource. A read error — including a
+// line longer than the scanner's buffer — ends the run with that error
+// rather than passing for a clean end of input.
+func (s *stdioSource) SampleFleet() ([]daemon.NodeBatch, error) {
 	var out []daemon.VMSample
 	for s.r.Scan() {
 		line := strings.TrimSpace(s.r.Text())
@@ -504,7 +393,7 @@ func (s *stdioSource) Sample() ([]daemon.VMSample, error) {
 			continue
 		}
 		if line == "--" {
-			return out, nil
+			return []daemon.NodeBatch{{Node: 0, Samples: out}}, nil
 		}
 		f := strings.Fields(line)
 		if len(f) < 3 {
@@ -533,8 +422,11 @@ func (s *stdioSource) Sample() ([]daemon.VMSample, error) {
 		}
 		out = append(out, vs)
 	}
+	if err := s.r.Err(); err != nil {
+		return nil, fmt.Errorf("reading input: %w", err)
+	}
 	if len(out) > 0 {
-		return out, nil
+		return []daemon.NodeBatch{{Node: 0, Samples: out}}, nil
 	}
 	return nil, io.EOF
 }

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"os"
@@ -52,7 +54,7 @@ func TestLiveTelemetrySurface(t *testing.T) {
 	for _, want := range []string{
 		"atc_vm_spin_latency_ns_last{node=", // per-node spin latency
 		"atc_daemon_decision_apply_total",   // controller decisions
-		"atc_daemon_slice_ns_last{vm=",      // per-VM slice series
+		"atc_daemon_slice_ns_last{node=",    // per-(node, VM) slice series
 		"atc_sched_dispatches_total{node=",  // per-node scheduler counters
 		"atc_spin_latency_bucket{node=",     // spin-latency histogram
 	} {
@@ -61,7 +63,7 @@ func TestLiveTelemetrySurface(t *testing.T) {
 		}
 	}
 
-	// /debug/atc must be a JSON snapshot with a daemon summary.
+	// /debug/atc must be a JSON snapshot with the fleet summary.
 	resp, err := http.Get("http://" + addr + "/debug/atc")
 	if err != nil {
 		t.Fatal(err)
@@ -69,13 +71,15 @@ func TestLiveTelemetrySurface(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	var dbg struct {
-		Summary map[string]any `json:"summary"`
+		Summary struct {
+			Fleet map[string]any `json:"fleet"`
+		} `json:"summary"`
 	}
 	if err := json.Unmarshal(body, &dbg); err != nil {
 		t.Fatalf("/debug/atc is not JSON: %v", err)
 	}
-	if p, ok := dbg.Summary["periods"].(float64); !ok || p <= 0 {
-		t.Fatalf("/debug/atc summary has no committed periods: %v", dbg.Summary)
+	if p, ok := dbg.Summary.Fleet["periods"].(float64); !ok || p <= 0 {
+		t.Fatalf("/debug/atc fleet summary has no committed periods: %v", dbg.Summary.Fleet)
 	}
 
 	// SIGINT must shut the server down and let run return cleanly.
@@ -192,7 +196,7 @@ func TestDemoBackend(t *testing.T) {
 	}
 }
 
-// TestFleetSnapshotRoundTrip drives atcd's fleet mode end to end: a
+// TestFleetSnapshotRoundTrip drives a multi-node atcd end to end: a
 // hollow 8-node run writes a snapshot at exit, a second process
 // restores from it and keeps going, and the /debug/atc surface of the
 // first run exposes the per-node fleet table with policies.
@@ -316,17 +320,83 @@ func TestFleetSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFleetFlagValidation pins the fleet-mode flag guards.
+// TestFleetFlagValidation pins the fleet flag guards.
 func TestFleetFlagValidation(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if err := run([]string{"-nodes", "4", "-backend", "stdio"}, &stdout, &stderr); err == nil {
-		t.Fatal("fleet mode accepted the stdio backend")
+		t.Fatal("-nodes accepted the stdio backend")
 	}
-	if err := run([]string{"-snapshot", "x.json"}, &stdout, &stderr); err == nil {
-		t.Fatal("-snapshot without -nodes did not error")
-	}
-	if err := run([]string{"-nodes", "2", "-restore", "/does/not/exist.json"}, &stdout, &stderr); err == nil {
+	missing := filepath.Join(t.TempDir(), "missing.json")
+	if err := run([]string{"-nodes", "2", "-restore", missing}, &stdout, &stderr); err == nil {
 		t.Fatal("missing -restore file did not error")
+	}
+	if err := run([]string{"-backend", "demo", "-restore", missing}, &stdout, &stderr); err == nil {
+		t.Fatal("missing -restore file did not error on the demo backend")
+	}
+}
+
+// TestDemoSnapshotRoundTrip pins -snapshot/-restore on a non-sim
+// backend: the demo's 1-node fleet writes its control state at exit,
+// and a second run restores it and carries the node's periods over.
+func TestDemoSnapshotRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	snap1 := filepath.Join(dir, "demo1.json")
+	snap2 := filepath.Join(dir, "demo2.json")
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-backend", "demo", "-periods", "12", "-snapshot", snap1}, &stdout, &stderr); err != nil {
+		t.Fatalf("demo run failed: %v\n%s", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "snapshot of 1 nodes written") {
+		t.Errorf("missing snapshot confirmation:\n%s", stderr.String())
+	}
+	stderr.Reset()
+	if err := run([]string{"-backend", "demo", "-periods", "12", "-restore", snap1, "-snapshot", snap2}, &stdout, &stderr); err != nil {
+		t.Fatalf("restored demo run failed: %v\n%s", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "restored 1 nodes from") {
+		t.Errorf("missing restore confirmation:\n%s", stderr.String())
+	}
+	raw, err := os.ReadFile(snap2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out struct {
+		Periods   uint64 `json:"periods"`
+		Decisions uint64 `json:"decisions"`
+		Nodes     []struct {
+			Node    int    `json:"node"`
+			Periods uint64 `json:"periods"`
+		} `json:"nodes"`
+	}
+	if err := json.Unmarshal(raw, &out); err != nil {
+		t.Fatalf("exit snapshot is not JSON: %v", err)
+	}
+	if out.Periods != 24 || out.Decisions != 24 || len(out.Nodes) != 1 || out.Nodes[0].Node != 0 || out.Nodes[0].Periods != 24 {
+		t.Errorf("restored demo snapshot = %+v, want node 0 at 24 periods (12 carried over + 12)", out)
+	}
+}
+
+// errReader fails every read.
+type errReader struct{}
+
+func (errReader) Read([]byte) (int, error) { return 0, errors.New("device gone") }
+
+// TestStdioSourceReadErrors pins that a failing read and an oversized
+// line end the stdio source with an error, not a clean EOF.
+func TestStdioSourceReadErrors(t *testing.T) {
+	src := &stdioSource{r: bufio.NewScanner(errReader{})}
+	if _, err := src.SampleFleet(); err == nil || err == io.EOF || !strings.Contains(err.Error(), "device gone") {
+		t.Errorf("failing reader: err = %v, want the read error", err)
+	}
+
+	long := "1 " + strings.Repeat("0", bufio.MaxScanTokenSize) + " 1\n--\n"
+	src = &stdioSource{r: bufio.NewScanner(strings.NewReader("1 2000 1\n--\n" + long))}
+	batches, err := src.SampleFleet()
+	if err != nil || len(batches) != 1 || len(batches[0].Samples) != 1 {
+		t.Fatalf("first period = %+v, %v; want one sample", batches, err)
+	}
+	if _, err := src.SampleFleet(); !errors.Is(err, bufio.ErrTooLong) {
+		t.Errorf("oversized line: err = %v, want %v", err, bufio.ErrTooLong)
 	}
 }
 

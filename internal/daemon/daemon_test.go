@@ -12,6 +12,15 @@ import (
 
 func ms(f float64) sim.Time { return sim.Time(f * float64(sim.Millisecond)) }
 
+// sliceFleet builds a 1-node fleet that replays periods through act
+// under the given per-node options.
+func sliceFleet(t *testing.T, periods [][]VMSample, act FleetActuator, opts Options) *Fleet {
+	t.Helper()
+	f := NewFleet(core.DefaultConfig(), &SliceSource{Periods: periods}, act, FleetOptions{Node: opts})
+	t.Cleanup(f.Close)
+	return f
+}
+
 func TestDaemonShortensUnderRisingLatency(t *testing.T) {
 	var periods [][]VMSample
 	lat := sim.Time(0)
@@ -23,17 +32,17 @@ func TestDaemonShortensUnderRisingLatency(t *testing.T) {
 		})
 	}
 	act := &MapActuator{}
-	d := New(core.DefaultConfig(), &SliceSource{Periods: periods}, act)
-	if err := d.Run(); err != nil {
+	f := sliceFleet(t, periods, act, Options{})
+	if err := f.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if d.Periods() != 10 {
-		t.Errorf("periods = %d", d.Periods())
+	if f.Decisions() != 10 {
+		t.Errorf("decisions = %d", f.Decisions())
 	}
-	if got := act.Last[1]; got >= ms(30) {
+	if got := act.Last[0][1]; got >= ms(30) {
 		t.Errorf("parallel slice = %v, want shortened", got)
 	}
-	if got := act.Last[2]; got != ms(30) {
+	if got := act.Last[0][2]; got != ms(30) {
 		t.Errorf("non-parallel slice = %v, want default", got)
 	}
 	if act.Applies != 10 {
@@ -42,16 +51,15 @@ func TestDaemonShortensUnderRisingLatency(t *testing.T) {
 }
 
 func TestDaemonRespectsAdminSlice(t *testing.T) {
-	src := &SliceSource{Periods: [][]VMSample{
+	periods := [][]VMSample{
 		{{ID: 1, Parallel: false, AdminSlice: ms(6)}},
-	}}
+	}
 	act := &MapActuator{}
-	d := New(core.DefaultConfig(), src, act)
-	if err := d.Run(); err != nil {
+	if err := sliceFleet(t, periods, act, Options{}).Run(); err != nil {
 		t.Fatal(err)
 	}
-	if act.Last[1] != ms(6) {
-		t.Errorf("slice = %v, want admin 6ms", act.Last[1])
+	if act.Last[0][1] != ms(6) {
+		t.Errorf("slice = %v, want admin 6ms", act.Last[0][1])
 	}
 }
 
@@ -64,19 +72,18 @@ func TestDaemonRecoversOnZeroLatency(t *testing.T) {
 		periods = append(periods, []VMSample{{ID: 1, AvgSpinLatency: 0, Parallel: true}})
 	}
 	act := &MapActuator{}
-	d := New(core.DefaultConfig(), &SliceSource{Periods: periods}, act)
-	if err := d.Run(); err != nil {
+	if err := sliceFleet(t, periods, act, Options{}).Run(); err != nil {
 		t.Fatal(err)
 	}
-	if act.Last[1] != ms(30) {
-		t.Errorf("slice = %v, want recovered to default", act.Last[1])
+	if act.Last[0][1] != ms(30) {
+		t.Errorf("slice = %v, want recovered to default", act.Last[0][1])
 	}
 }
 
 func TestWriterActuatorFormat(t *testing.T) {
 	var buf bytes.Buffer
 	act := WriterActuator{W: &buf}
-	if err := act.Apply(map[int]sim.Time{2: ms(6), 1: ms(30)}); err != nil {
+	if err := act.ApplyNode(0, map[int]sim.Time{2: ms(6), 1: ms(30)}); err != nil {
 		t.Fatal(err)
 	}
 	want := "vm1 30000us\nvm2 6000us\n--\n"
@@ -87,10 +94,14 @@ func TestWriterActuatorFormat(t *testing.T) {
 
 func TestSliceSourceEOF(t *testing.T) {
 	src := &SliceSource{Periods: [][]VMSample{{}}}
-	if _, err := src.Sample(); err != nil {
+	batches, err := src.SampleFleet()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := src.Sample(); err != io.EOF {
+	if len(batches) != 1 || batches[0].Node != 0 {
+		t.Errorf("batches = %+v, want one (empty) batch for node 0", batches)
+	}
+	if _, err := src.SampleFleet(); err != io.EOF {
 		t.Errorf("err = %v, want EOF", err)
 	}
 }
@@ -98,10 +109,10 @@ func TestSliceSourceEOF(t *testing.T) {
 func TestNewPanicsOnNil(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("nil source accepted")
+			t.Error("nil actuator accepted")
 		}
 	}()
-	New(core.DefaultConfig(), nil, &MapActuator{})
+	NewFleet(core.DefaultConfig(), &SliceSource{}, nil, FleetOptions{})
 }
 
 func TestDaemonEndToEndTrace(t *testing.T) {
@@ -116,8 +127,7 @@ func TestDaemonEndToEndTrace(t *testing.T) {
 		periods = append(periods, []VMSample{{ID: 7, AvgSpinLatency: 0, Parallel: true}})
 	}
 	var buf bytes.Buffer
-	d := New(core.DefaultConfig(), &SliceSource{Periods: periods}, WriterActuator{W: &buf})
-	if err := d.Run(); err != nil {
+	if err := sliceFleet(t, periods, WriterActuator{W: &buf}, Options{}).Run(); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(buf.String(), "\n")

@@ -8,8 +8,9 @@ import (
 	"atcsched/internal/sim"
 )
 
-// Example runs the control loop over a three-period trace with a mock
-// actuator — the integration shape of a dom0 deployment.
+// Example runs the control loop — a 1-node fleet — over a three-period
+// trace with a mock actuator: the integration shape of a dom0
+// deployment.
 func Example() {
 	src := &daemon.SliceSource{Periods: [][]daemon.VMSample{
 		{{ID: 1, AvgSpinLatency: 1 * sim.Millisecond, Parallel: true}},
@@ -17,10 +18,11 @@ func Example() {
 		{{ID: 1, AvgSpinLatency: 3 * sim.Millisecond, Parallel: true}},
 	}}
 	act := &daemon.MapActuator{}
-	d := daemon.New(core.DefaultConfig(), src, act)
-	if err := d.Run(); err != nil {
+	f := daemon.NewFleet(core.DefaultConfig(), src, act, daemon.FleetOptions{})
+	defer f.Close()
+	if err := f.Run(); err != nil {
 		panic(err)
 	}
-	fmt.Printf("periods=%d slice=%v\n", d.Periods(), act.Last[1])
+	fmt.Printf("periods=%d slice=%v\n", f.Decisions(), act.Last[0][1])
 	// Output: periods=3 slice=12.000ms
 }

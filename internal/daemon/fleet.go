@@ -21,8 +21,10 @@ type NodeBatch struct {
 	Samples []VMSample
 }
 
-// FleetSource provides one period's batches for every live node (a node
-// in blackout simply contributes no batch). io.EOF ends the control
+// FleetSource provides one period's batches for every live node. A
+// node whose VMs all dropped out still sends an (empty) batch, so its
+// loop counts the period and degrades blacked-out slices; a node whose
+// control plane is dark contributes no batch. io.EOF ends the control
 // loop cleanly.
 type FleetSource interface {
 	SampleFleet() ([]NodeBatch, error)
@@ -36,7 +38,8 @@ type FleetActuator interface {
 // FleetOptions size the fleet control plane.
 type FleetOptions struct {
 	// Node carries the per-node hardened-loop options (retry/stale/
-	// giveup — the PR 5 machinery, applied per fleet node).
+	// giveup, applied per fleet node). Zero fields take their
+	// DefaultOptions values.
 	Node Options
 	// Shards is the number of decider/applier goroutine pairs the
 	// per-node controller state is sharded across (hash(node)→shard;
@@ -119,13 +122,13 @@ type fleetShard struct {
 	qclosed bool
 }
 
-// Fleet is the thousand-node control plane: batched telemetry ingestion
-// through a bounded ring, per-node controller state (nodeLoop — the
-// exact machinery behind the single-node Daemon) sharded across
-// goroutines, and bounded per-node actuation queues with overflow
-// accounting. Step runs one fleet-wide control period with a drain
-// barrier, which keeps closed-loop simulation deterministic at any
-// shard count; Ingest/Drain expose the asynchronous surface directly.
+// Fleet is the control plane, from one node to thousands: batched
+// telemetry ingestion through a bounded ring, per-node controller state
+// (nodeLoop) sharded across goroutines, and bounded per-node actuation
+// queues with overflow accounting. Step runs one fleet-wide control
+// period with a drain barrier, which keeps closed-loop simulation
+// deterministic at any shard count; Ingest/Drain expose the
+// asynchronous surface directly.
 type Fleet struct {
 	cfg  core.Config
 	opts FleetOptions
@@ -156,6 +159,7 @@ type Fleet struct {
 
 	tel      *telemetry.Registry
 	telClock func() sim.Time
+	telSteps atomic.Uint64 // sampled periods: the synthetic telemetry clock
 }
 
 // NewFleet builds the fleet control plane and starts its pipeline
@@ -203,20 +207,25 @@ func (f *Fleet) shardOf(node int) *fleetShard {
 	return f.shards[runner.Seed(fleetShardSalt, node)%uint64(len(f.shards))]
 }
 
-// SetTelemetry attaches a registry the fleet publishes into: committed
-// decisions and overflow counters, ingest-queue depth, a wall-clock
-// decision-latency histogram (ingest→actuation-landed), and restore
-// spans. clock supplies the span time axis (nil: zero).
+// SetTelemetry attaches a registry (usually a Plane's global registry)
+// the fleet publishes into: a "decision" span per Step; per node-period
+// daemon_decision_{apply,drop,giveup} counters; the fleet-wide
+// retries/dropped/stale/degraded counts; a daemon_slice_ns series per
+// (node, VM) on every commit; overflow counters, ingest-queue depth, a
+// wall-clock decision-latency histogram (ingest→actuation-landed), and
+// restore spans. clock supplies the sim-time axis (e.g. SimBackend.Now);
+// when nil, periods are placed on a synthetic 30 ms grid.
 func (f *Fleet) SetTelemetry(reg *telemetry.Registry, clock func() sim.Time) {
 	f.tel = reg
 	f.telClock = clock
 }
 
+// telNow returns the current telemetry timestamp.
 func (f *Fleet) telNow() sim.Time {
 	if f.telClock != nil {
 		return f.telClock()
 	}
-	return 0
+	return sim.Time(f.telSteps.Load()) * 30 * sim.Millisecond
 }
 
 // Ingest queues one node's batch for decision and actuation, blocking
@@ -378,12 +387,50 @@ func (sh *fleetShard) apply(it *actItem) {
 	}
 	if committed {
 		sh.f.decisions.Add(1)
-		if sh.f.tel != nil {
-			sh.f.tel.Add("fleet_decisions", telemetry.GlobalLabel(), 1)
-			sh.f.tel.Observe("fleet_decision_latency", telemetry.GlobalLabel(),
-				sim.Time(time.Since(it.enq).Nanoseconds()))
+	}
+	if sh.f.tel != nil {
+		sh.f.publishApply(it, committed, err)
+	}
+}
+
+// publishApply records one node-period's actuation outcome (tel is
+// non-nil when called): its daemon_decision_* counter and, on commit,
+// the decision latency and the node's per-VM slice points.
+func (f *Fleet) publishApply(it *actItem, committed bool, err error) {
+	lab := telemetry.GlobalLabel()
+	switch {
+	case err != nil:
+		f.tel.Add("daemon_decision_giveup", lab, 1)
+	case !committed:
+		f.tel.Add("daemon_decision_drop", lab, 1)
+	default:
+		f.tel.Add("daemon_decision_apply", lab, 1)
+		f.tel.Observe("fleet_decision_latency", lab, sim.Time(time.Since(it.enq).Nanoseconds()))
+		now := f.telNow()
+		for id, sl := range it.slices {
+			f.tel.Point("daemon_slice_ns",
+				telemetry.Label{Node: it.node, VM: fmt.Sprintf("vm%d", id)}, now, float64(sl))
 		}
 	}
+}
+
+// publishStep records one fleet period in the telemetry registry (tel
+// is non-nil when called): the "decision" span from start to now, and
+// the fleet-wide fault-handling counts.
+func (f *Fleet) publishStep(start sim.Time) {
+	now := f.telNow()
+	if now < start {
+		now = start
+	}
+	lab := telemetry.GlobalLabel()
+	f.tel.AddSpan(telemetry.Span{
+		Name: "decision", Track: "daemon", Node: -1, Start: start, End: now,
+	})
+	st := f.Stats()
+	f.tel.SetCount("daemon_retries", lab, st.Retries)
+	f.tel.SetCount("daemon_dropped_periods", lab, st.DroppedPeriods)
+	f.tel.SetCount("daemon_stale_samples", lab, st.StaleSamples)
+	f.tel.SetCount("daemon_degraded", lab, st.Degraded)
 }
 
 // wait performs one retry backoff: wall clock, cut short by Stop (the
@@ -430,10 +477,12 @@ func (f *Fleet) Step() error {
 	if f.src == nil {
 		return errors.New("daemon: fleet has no source; drive Ingest/Drain directly")
 	}
+	start := f.telNow()
 	batches, err := f.src.SampleFleet()
 	if err != nil {
 		return err
 	}
+	f.telSteps.Add(1)
 	for _, b := range batches {
 		if err := f.Ingest(b); err != nil {
 			return err
@@ -444,12 +493,18 @@ func (f *Fleet) Step() error {
 	}
 	f.Drain()
 	f.periods.Add(1)
+	if f.tel != nil {
+		f.publishStep(start)
+	}
 	return f.Err()
 }
 
 // Run executes Step until io.EOF (clean end), a terminal error, or
-// Stop. Like Daemon.Run, a stop arriving mid-period drains the period's
-// in-flight actuations before returning.
+// Stop. Transient actuator failures are absorbed by the per-node
+// retry/drop policy and do not end the loop. A stop arriving mid-period
+// never truncates it: the period's remaining retry attempts run (their
+// backoff waits cut short), so its in-flight actuations drain before
+// Run returns.
 func (f *Fleet) Run() error {
 	for !f.stop.Load() {
 		if err := f.Step(); err != nil {

@@ -2,8 +2,12 @@ package daemon
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +15,7 @@ import (
 	"atcsched/internal/core"
 	"atcsched/internal/fault"
 	"atcsched/internal/sim"
+	"atcsched/internal/telemetry"
 	"atcsched/internal/workload"
 )
 
@@ -28,20 +33,6 @@ func renderSlices(node int, slices map[int]sim.Time) string {
 	}
 	b.WriteByte('\n')
 	return b.String()
-}
-
-// recordingActuator logs every single-node Apply (legacy daemon path).
-type recordingActuator struct {
-	inner Actuator
-	log   bytes.Buffer
-}
-
-func (r *recordingActuator) Apply(slices map[int]sim.Time) error {
-	if err := r.inner.Apply(slices); err != nil {
-		return err
-	}
-	r.log.WriteString(renderSlices(0, slices))
-	return nil
 }
 
 // recordingFleetActuator logs every ApplyNode (fleet path).
@@ -79,75 +70,51 @@ func singleNodeBackend(t *testing.T) *SimBackend {
 	return b
 }
 
-// TestFleetSingleNodeByteIdentical pins the refactor's core contract:
-// the fleet path at -nodes 1, shard 1 makes byte-identical decisions,
-// actuations and cluster trajectory to the pre-refactor single-node
-// daemon (both drive one nodeLoop; only the plumbing differs).
+// TestFleetSingleNodeByteIdentical pins the fold of the single-node
+// daemon into the fleet: a 1-node, 1-shard fleet makes byte-identical
+// actuations and cluster trajectory to the retired single-node Daemon,
+// whose actuation log, committed periods, executed events and final
+// clock on this cluster are recorded in the golden file. Re-pin with
+// -update only for an intended behaviour change.
 func TestFleetSingleNodeByteIdentical(t *testing.T) {
-	legacy := singleNodeBackend(t)
-	la := &recordingActuator{inner: legacy}
-	d := New(core.DefaultConfig(), legacy, la)
-	if err := d.Run(); !IsDone(err) {
-		t.Fatalf("legacy daemon: %v", err)
-	}
-
-	fleetB := singleNodeBackend(t)
-	fa := &recordingFleetActuator{inner: fleetB}
-	f := NewFleet(core.DefaultConfig(), fleetB, fa, FleetOptions{Shards: 1})
+	b := singleNodeBackend(t)
+	act := &recordingFleetActuator{inner: b}
+	f := NewFleet(core.DefaultConfig(), b, act, FleetOptions{Shards: 1})
 	defer f.Close()
 	if err := f.Run(); !IsDone(err) {
 		t.Fatalf("fleet: %v", err)
 	}
+	fmt.Fprintf(&act.log, "# periods=%d executed=%d now=%d\n",
+		f.Decisions(), b.World.Executed(), int64(b.World.Eng.Now()))
 
-	if la.log.String() != fa.log.String() {
-		t.Fatalf("actuation logs diverge:\nlegacy:\n%s\nfleet:\n%s", la.log.String(), fa.log.String())
+	golden := filepath.Join("testdata", "single_node_daemon.golden.txt")
+	if *update {
+		if err := os.WriteFile(golden, act.log.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if d.Periods() != f.Decisions() {
-		t.Errorf("legacy periods %d != fleet decisions %d", d.Periods(), f.Decisions())
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got, want := fleetB.World.Executed(), legacy.World.Executed(); got != want {
-		t.Errorf("world executed %d events under fleet, %d under legacy", got, want)
-	}
-	if got, want := fleetB.World.Eng.Now(), legacy.World.Eng.Now(); got != want {
-		t.Errorf("world clock %v under fleet, %v under legacy", got, want)
+	if got := act.log.String(); got != string(want) {
+		t.Fatalf("1-node fleet diverges from the single-node daemon record:\nfleet:\n%s\ngolden:\n%s", got, want)
 	}
 }
 
 // wedgeActuator blocks inside ApplyNode until released, so decisions
 // pile up in the actuation queue.
 type wedgeActuator struct {
-	MapFleetActuator
+	MapActuator
 	entered chan struct{} // signaled once on first Apply
 	release chan struct{}
 	once    sync.Once
 }
 
-// MapFleetActuator records last slices per node (tests).
-type MapFleetActuator struct {
-	mu   sync.Mutex
-	Last map[int]map[int]sim.Time
-	N    int
-}
-
-func (m *MapFleetActuator) ApplyNode(node int, slices map[int]sim.Time) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.Last == nil {
-		m.Last = make(map[int]map[int]sim.Time)
-	}
-	cp := make(map[int]sim.Time, len(slices))
-	for id, sl := range slices {
-		cp[id] = sl
-	}
-	m.Last[node] = cp
-	m.N++
-	return nil
-}
-
 func (w *wedgeActuator) ApplyNode(node int, slices map[int]sim.Time) error {
 	w.once.Do(func() { close(w.entered) })
 	<-w.release
-	return w.MapFleetActuator.ApplyNode(node, slices)
+	return w.MapActuator.ApplyNode(node, slices)
 }
 
 // TestFleetQueueOverflowDropsOldest pins the bounded actuation queue:
@@ -199,8 +166,8 @@ func TestFleetQueueOverflowDropsOldest(t *testing.T) {
 	if got := f.Stats().Retries; got != 0 {
 		t.Errorf("retries = %d, want 0 — overflow must not count as actuation failure", got)
 	}
-	if act.N != 2 {
-		t.Errorf("actuator saw %d applies, want 2", act.N)
+	if act.Applies != 2 {
+		t.Errorf("actuator saw %d applies, want 2", act.Applies)
 	}
 	tbl := f.Table()
 	if len(tbl) != 1 || tbl[0].DroppedPeriods != 2 || tbl[0].Periods != 2 {
@@ -348,7 +315,7 @@ func TestFleetShardCountInvariant(t *testing.T) {
 // TestFleetMaxNodesRejectsStrays pins the MaxNodes bound: batches for
 // out-of-range nodes are counted and ignored, never grown into state.
 func TestFleetMaxNodesRejectsStrays(t *testing.T) {
-	act := &MapFleetActuator{}
+	act := &MapActuator{}
 	f := NewFleet(core.DefaultConfig(), nil, act, FleetOptions{MaxNodes: 2})
 	defer f.Close()
 	for _, node := range []int{0, 1, 2, -1, 7} {
@@ -362,5 +329,53 @@ func TestFleetMaxNodesRejectsStrays(t *testing.T) {
 	}
 	if got := f.Nodes(); len(got) != 2 {
 		t.Errorf("fleet grew state for %v, want exactly nodes [0 1]", got)
+	}
+}
+
+// TestFleetTelemetry pins what an attached registry receives without a
+// clock: one decision span per period on the synthetic 30 ms grid, one
+// daemon_decision_* count per node-period outcome, the fault counts,
+// and a daemon_slice_ns point per (node, VM) on commit only.
+func TestFleetTelemetry(t *testing.T) {
+	periods := [][]VMSample{
+		{{ID: 1, AvgSpinLatency: ms(2), Parallel: true}},
+		{{ID: 1, AvgSpinLatency: ms(2), Parallel: true}},
+		{{ID: 1, AvgSpinLatency: ms(2), Parallel: true}},
+	}
+	act := &scriptedActuator{script: []error{nil, errActuator, errActuator}}
+	f := sliceFleet(t, periods, act, Options{MaxRetries: -1, GiveUpAfter: 2, Sleep: noSleep})
+	reg := telemetry.NewRegistry(telemetry.Options{})
+	f.SetTelemetry(reg, nil)
+	if err := f.Run(); !errors.Is(err, errActuator) {
+		t.Fatalf("Run = %v, want give-up on the third period", err)
+	}
+	snap := reg.Snapshot()
+
+	counts := map[string]uint64{}
+	for _, c := range snap.Counters {
+		counts[c.Name] = c.Value
+	}
+	for name, want := range map[string]uint64{
+		"daemon_decision_apply": 1, "daemon_decision_drop": 1, "daemon_decision_giveup": 1,
+		"daemon_dropped_periods": 2, "daemon_retries": 0,
+	} {
+		if counts[name] != want {
+			t.Errorf("%s = %d, want %d", name, counts[name], want)
+		}
+	}
+	var spans []string
+	for _, s := range snap.Spans {
+		spans = append(spans, fmt.Sprintf("%s %v-%v", s.Name, s.Start, s.End))
+	}
+	if got, want := strings.Join(spans, ", "), "decision 0ns-30.000ms, decision 30.000ms-60.000ms, decision 60.000ms-90.000ms"; got != want {
+		t.Errorf("spans = %s, want %s", got, want)
+	}
+	if len(snap.Series) != 1 {
+		t.Fatalf("series = %+v, want one daemon_slice_ns series", snap.Series)
+	}
+	s := snap.Series[0]
+	if s.Name != "daemon_slice_ns" || s.Label != (telemetry.Label{Node: 0, VM: "vm1"}) ||
+		len(s.Points) != 1 || s.Points[0].T != ms(30) {
+		t.Errorf("slice series = %+v, want one point for node 0 vm1 at 30ms", s)
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"atcsched/internal/workload"
 )
 
-// runClosedLoop executes the daemon against the sim backend for the
+// runClosedLoop executes the fleet against the sim backend for the
 // given number of periods and returns per-round progress (completed
 // rounds across all clusters) plus the final slice on node 0.
 func runClosedLoop(t *testing.T, periods int, control bool) (rounds int, finalSliceMS float64) {
@@ -26,14 +26,15 @@ func runClosedLoop(t *testing.T, periods int, control bool) (rounds int, finalSl
 		t.Fatal(err)
 	}
 	if control {
-		d := New(core.DefaultConfig(), b, b)
-		if err := d.Run(); !IsDone(err) {
-			t.Fatalf("daemon ended with %v", err)
+		f := NewFleet(core.DefaultConfig(), b, b, FleetOptions{})
+		defer f.Close()
+		if err := f.Run(); !IsDone(err) {
+			t.Fatalf("fleet ended with %v", err)
 		}
 	} else {
 		// No daemon: just advance the same amount of virtual time.
 		for {
-			if _, err := b.Sample(); err != nil {
+			if _, err := b.SampleFleet(); err != nil {
 				if !IsDone(err) {
 					t.Fatal(err)
 				}
@@ -78,12 +79,17 @@ func TestSimBackendDefaults(t *testing.T) {
 	if len(b.Runs()) != 4 {
 		t.Errorf("clusters = %d", len(b.Runs()))
 	}
-	s, err := b.Sample()
+	batches, err := b.SampleFleet()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s) != 8 { // 4 clusters x 2 nodes
-		t.Errorf("samples = %d", len(s))
+	if len(batches) != 2 { // one per node
+		t.Errorf("batches = %d", len(batches))
+	}
+	for _, nb := range batches {
+		if len(nb.Samples) != 4 { // one VM per cluster on every node
+			t.Errorf("node %d samples = %d", nb.Node, len(nb.Samples))
+		}
 	}
 	if b.Periods() != 1 {
 		t.Errorf("periods = %d", b.Periods())

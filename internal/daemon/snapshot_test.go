@@ -12,15 +12,15 @@ import (
 	"atcsched/internal/sim"
 )
 
-// -update rewrites the snapshot golden file from the current codec.
-var update = flag.Bool("update", false, "rewrite snapshot golden files")
+// -update rewrites the golden files under testdata from the current code.
+var update = flag.Bool("update", false, "rewrite golden files")
 
 // goldenFleet builds a small fleet with fixed, fully-populated control
 // state: two nodes, VMs with history, a blacked-out VM, admin slices,
 // sequence numbers and fault counters.
 func goldenFleet(t *testing.T) *Fleet {
 	t.Helper()
-	act := &MapFleetActuator{}
+	act := &MapActuator{}
 	f := NewFleet(core.DefaultConfig(), nil, act, FleetOptions{Shards: 2})
 	t.Cleanup(f.Close)
 	step := func(node int, samples ...VMSample) {
@@ -84,7 +84,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2 := NewFleet(core.DefaultConfig(), nil, &MapFleetActuator{}, FleetOptions{Shards: 3})
+	f2 := NewFleet(core.DefaultConfig(), nil, &MapActuator{}, FleetOptions{Shards: 3})
 	defer f2.Close()
 	if err := f2.Restore(snap); err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestSnapshotVersionMismatch(t *testing.T) {
 		t.Error("DecodeSnapshot accepted malformed JSON")
 	}
 	s := &FleetSnapshot{Version: 99, Config: core.DefaultConfig()}
-	f := NewFleet(core.DefaultConfig(), nil, &MapFleetActuator{}, FleetOptions{})
+	f := NewFleet(core.DefaultConfig(), nil, &MapActuator{}, FleetOptions{})
 	defer f.Close()
 	if err := f.Restore(s); err == nil {
 		t.Error("Restore accepted a version-99 snapshot")
@@ -129,7 +129,7 @@ func TestSnapshotVersionMismatch(t *testing.T) {
 func TestSnapshotRestoreUnknownNode(t *testing.T) {
 	snap := goldenFleet(t).Snapshot() // nodes 0 and 1
 	snap.Nodes = append(snap.Nodes, NodeSnapshot{Node: 99, Periods: 3})
-	f := NewFleet(core.DefaultConfig(), nil, &MapFleetActuator{}, FleetOptions{MaxNodes: 1})
+	f := NewFleet(core.DefaultConfig(), nil, &MapActuator{}, FleetOptions{MaxNodes: 1})
 	defer f.Close()
 	if err := f.Restore(snap); err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestSnapshotConfigMismatch(t *testing.T) {
 	snap := goldenFleet(t).Snapshot()
 	cfg := core.DefaultConfig()
 	cfg.Default = 24 * sim.Millisecond
-	f := NewFleet(cfg, nil, &MapFleetActuator{}, FleetOptions{})
+	f := NewFleet(cfg, nil, &MapActuator{}, FleetOptions{})
 	defer f.Close()
 	if err := f.Restore(snap); err == nil {
 		t.Error("Restore accepted a snapshot with a different controller config")

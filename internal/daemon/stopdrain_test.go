@@ -4,24 +4,24 @@ import (
 	"testing"
 	"time"
 
-	"atcsched/internal/core"
 	"atcsched/internal/sim"
 )
 
-// stopRacingActuator fails its first Apply after asking the daemon to
+// stopRacingActuator fails its first Apply after asking the fleet to
 // stop — the exact shape of a shutdown signal racing an actuation retry.
 type stopRacingActuator struct {
 	MapActuator
-	d *Daemon
+	f      *Fleet
+	failed bool
 }
 
-func (a *stopRacingActuator) Apply(slices map[int]sim.Time) error {
-	if a.Applies == 0 {
-		a.Applies++
-		a.d.Stop()
+func (a *stopRacingActuator) ApplyNode(node int, slices map[int]sim.Time) error {
+	if !a.failed {
+		a.failed = true
+		a.f.Stop()
 		return errActuator
 	}
-	return a.MapActuator.Apply(slices)
+	return a.MapActuator.ApplyNode(node, slices)
 }
 
 // TestStopDrainsInFlightActuation pins the stop-path bugfix: a Stop
@@ -31,16 +31,16 @@ func (a *stopRacingActuator) Apply(slices map[int]sim.Time) error {
 // regression unmissable — the old stop path would sleep the full
 // backoff before draining.
 func TestStopDrainsInFlightActuation(t *testing.T) {
-	src := &SliceSource{Periods: [][]VMSample{
+	periods := [][]VMSample{
 		{{ID: 1, AvgSpinLatency: 2 * sim.Millisecond, Parallel: true}},
 		{{ID: 1, AvgSpinLatency: 2 * sim.Millisecond, Parallel: true}},
-	}}
+	}
 	act := &stopRacingActuator{}
-	d := New(core.DefaultConfig(), src, act, WithRetry(1, 30*time.Second))
-	act.d = d
+	f := sliceFleet(t, periods, act, Options{MaxRetries: 1, RetryBackoff: 30 * time.Second})
+	act.f = f
 
 	start := time.Now()
-	err := d.Run()
+	err := f.Run()
 	elapsed := time.Since(start)
 
 	if err != nil {
@@ -49,16 +49,16 @@ func TestStopDrainsInFlightActuation(t *testing.T) {
 	if elapsed > 5*time.Second {
 		t.Fatalf("Run took %v; stop did not cut the 30s backoff short", elapsed)
 	}
-	if d.Periods() != 1 {
-		t.Fatalf("Periods = %d, want 1 (the in-flight period must drain, the next must not start)", d.Periods())
+	if f.Decisions() != 1 {
+		t.Fatalf("Decisions = %d, want 1 (the in-flight period must drain, the next must not start)", f.Decisions())
 	}
-	if len(act.Last) == 0 {
+	if len(act.Last[0]) == 0 {
 		t.Fatal("final Apply was dropped on stop; no slices landed")
 	}
-	if got := d.Stats().Retries; got != 1 {
+	if got := f.Stats().Retries; got != 1 {
 		t.Errorf("Retries = %d, want 1", got)
 	}
-	if got := d.Stats().DroppedPeriods; got != 0 {
+	if got := f.Stats().DroppedPeriods; got != 0 {
 		t.Errorf("DroppedPeriods = %d, want 0 — the stop path dropped the period", got)
 	}
 }
