@@ -116,9 +116,12 @@ type VCPUData struct {
 
 // Scheduler is the credit core. It implements vmm.Scheduler.
 type Scheduler struct {
-	node   *vmm.Node
-	opts   Options
-	queues [][]*vmm.VCPU // [pcpu][pos], each kept sorted by enqueue order within class
+	node *vmm.Node
+	opts Options
+	// queues is [pcpu][pos], each kept sorted by enqueue order within
+	// class. Inserts and removals work in place on the backing arrays,
+	// so a warm queue never reallocates.
+	queues [][]*vmm.VCPU
 	// weights maps VM id to weight (DefaultWeight when absent).
 	weights map[int]int
 	// shares maps VM id to a pinned CPU fraction of node capacity in
@@ -298,10 +301,23 @@ func (s *Scheduler) insertByClass(q []*vmm.VCPU, v *vmm.VCPU, prio Priority) []*
 			break
 		}
 	}
+	return insertAt(q, pos, v)
+}
+
+// insertAt inserts v at q[pos], shifting the tail up in place.
+func insertAt(q []*vmm.VCPU, pos int, v *vmm.VCPU) []*vmm.VCPU {
 	q = append(q, nil)
 	copy(q[pos+1:], q[pos:])
 	q[pos] = v
 	return q
+}
+
+// removeAt deletes q[i], shifting the tail down in place and clearing
+// the vacated slot.
+func removeAt(q []*vmm.VCPU, i int) []*vmm.VCPU {
+	copy(q[i:], q[i+1:])
+	q[len(q)-1] = nil
+	return q[:len(q)-1]
 }
 
 // EnqueueFront pushes v at the very head of queue q with BOOST class —
@@ -314,7 +330,7 @@ func (s *Scheduler) EnqueueFront(v *vmm.VCPU, q int) {
 	d.Prio = PrioBoost
 	d.Queue = q
 	d.Queued = true
-	s.queues[q] = append([]*vmm.VCPU{v}, s.queues[q]...)
+	s.queues[q] = insertAt(s.queues[q], 0, v)
 }
 
 // EnqueueBoostTail inserts v at the tail of queue q's BOOST class —
@@ -341,7 +357,7 @@ func (s *Scheduler) Dequeue(v *vmm.VCPU) bool {
 	q := s.queues[d.Queue]
 	for i, o := range q {
 		if o == v {
-			s.queues[d.Queue] = append(q[:i], q[i+1:]...)
+			s.queues[d.Queue] = removeAt(q, i)
 			d.Queued = false
 			return true
 		}
@@ -352,7 +368,7 @@ func (s *Scheduler) Dequeue(v *vmm.VCPU) bool {
 // QueueLen returns the length of PCPU q's runqueue.
 func (s *Scheduler) QueueLen(q int) int { return len(s.queues[q]) }
 
-// QueueVMs reports whether queue q contains (or PCPU q runs) a VCPU of
+// QueueHasSibling reports whether queue q contains (or PCPU q runs) a VCPU of
 // vm — the Balance Scheduling predicate.
 func (s *Scheduler) QueueHasSibling(q int, vm *vmm.VM, exclude *vmm.VCPU) bool {
 	if cur := s.node.PCPUs()[q].Current(); cur != nil && cur.VM() == vm && cur != exclude {
@@ -426,7 +442,7 @@ func (s *Scheduler) popQueue(q, on int) *vmm.VCPU {
 		if !v.AllowedOn(on) {
 			continue
 		}
-		s.queues[q] = append(s.queues[q][:i:i], s.queues[q][i+1:]...)
+		s.queues[q] = removeAt(s.queues[q], i)
 		s.Data(v).Queued = false
 		return v
 	}

@@ -19,8 +19,9 @@ import (
 //     the sum of PCPU busy time.
 //  3. Packet conservation: every posted packet is delivered, queued in
 //     a backend, in flight on the fabric, or waiting in a mailbox.
-//  4. Mailbox waiters: every registered receiver is actually waiting on
-//     a matching receive.
+//  4. Mailboxes: no entry is empty (a drained queue must be deleted, or
+//     the map grows with every tag ever used), and every registered
+//     receiver is actually waiting on a matching receive.
 //  5. Spinlock sanity: holder and reservation are mutually exclusive;
 //     every spinning VCPU is known to its lock.
 func (w *World) Audit() []error {
@@ -65,7 +66,10 @@ func (w *World) Audit() []error {
 	for _, vm := range w.vms {
 		sent += vm.sent
 		received += vm.received
-		for _, q := range vm.mail {
+		for key, q := range vm.mail {
+			if q.len() == 0 {
+				bad("%s: drained mailbox %+v not deleted", vm.name, key)
+			}
 			mailbox += uint64(q.len())
 		}
 	}

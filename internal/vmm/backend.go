@@ -83,6 +83,38 @@ func (b *Backend) notify() {
 // idle.
 type backendProc struct {
 	b *Backend
+	// pkt is the packet whose netback compute is in flight. A dom0 VCPU
+	// runs one action at a time, so one slot suffices and the tx/rx
+	// completions (txFn, rxFn, bound once) need no per-packet closure.
+	pkt        Packet
+	txFn, rxFn func()
+}
+
+func newBackendProc(b *Backend) *backendProc {
+	bp := &backendProc{b: b}
+	bp.txFn = bp.txDone
+	bp.rxFn = bp.rxDone
+	return bp
+}
+
+// finishPkt retires the in-flight packet: it clears the slot, drops the
+// packet from the processing count and returns it.
+func (bp *backendProc) finishPkt() Packet {
+	pkt := bp.pkt
+	bp.pkt = Packet{}
+	bp.b.processing--
+	return pkt
+}
+
+func (bp *backendProc) txDone() {
+	bp.b.txProcessed++
+	bp.b.forward(bp.finishPkt())
+}
+
+func (bp *backendProc) rxDone() {
+	bp.b.rxProcessed++
+	pkt := bp.finishPkt()
+	pkt.Dst.deliver(pkt)
 }
 
 // Next implements Process.
@@ -91,21 +123,13 @@ func (bp *backendProc) Next() Action {
 	cfg := &b.node.cfg
 	switch {
 	case b.tx.len() > 0:
-		pkt := b.tx.pop()
+		bp.pkt = b.tx.pop()
 		b.processing++
-		return Action{Kind: ActCompute, Work: cfg.BackendPacketCost, Then: func() {
-			b.txProcessed++
-			b.processing--
-			b.forward(pkt)
-		}}
+		return Action{Kind: ActCompute, Work: cfg.BackendPacketCost, Then: bp.txFn}
 	case b.rx.len() > 0:
-		pkt := b.rx.pop()
+		bp.pkt = b.rx.pop()
 		b.processing++
-		return Action{Kind: ActCompute, Work: cfg.BackendPacketCost, Then: func() {
-			b.rxProcessed++
-			b.processing--
-			pkt.Dst.deliver(pkt)
-		}}
+		return Action{Kind: ActCompute, Work: cfg.BackendPacketCost, Then: bp.rxFn}
 	case b.diskQ.len() > 0:
 		req := b.diskQ.pop()
 		return Action{Kind: ActCompute, Work: cfg.BackendDiskCost, Then: func() {

@@ -27,6 +27,13 @@ func (q *fifo[T]) pop() T {
 	return v
 }
 
+// reset empties the queue, keeping its backing array for reuse. pop
+// zeroes every slot it vacates, so the array holds no stale references.
+func (q *fifo[T]) reset() {
+	q.items = q.items[:0]
+	q.head = 0
+}
+
 func (q *fifo[T]) peek() T {
 	if q.len() == 0 {
 		panic("vmm: peek at empty fifo")

@@ -192,6 +192,7 @@ func (n *Node) newVM(name string, class VMClass, vcpus int, footprint int64, col
 			burnRemaining: -1,
 			runSegStart:   -1,
 		}
+		v.kickFn = func() { n.kick(v) }
 		v.SetCacheProfile(footprint, coldRate)
 		n.world.nextVCPUID++
 		vm.vcpus = append(vm.vcpus, v)
@@ -230,7 +231,7 @@ func (n *Node) wake(v *VCPU, io bool) {
 	v.state = StateRunnable
 	v.waitStart = n.eng.Now()
 	n.sched.Enqueue(v, EnqueueWake)
-	n.kick(v)
+	n.eng.Schedule(0, v.kickFn)
 }
 
 // WakeIdle revives an idle VCPU that has had a new process installed via
@@ -242,47 +243,46 @@ func (n *Node) WakeIdle(v *VCPU) {
 	v.state = StateRunnable
 	v.waitStart = n.eng.Now()
 	n.sched.Enqueue(v, EnqueueNew)
-	n.kick(v)
+	n.eng.Schedule(0, v.kickFn)
 }
 
 // kick reacts to new runnable work: dispatch an idle PCPU, or preempt a
-// running one when the scheduler's wake policy says so. Deferred to a
-// fresh event so wake chains inside action side effects cannot corrupt an
-// in-progress step loop.
+// running one when the scheduler's wake policy says so. It runs as a
+// fresh event (VCPU.kickFn, scheduled by wake and WakeIdle) so wake
+// chains inside action side effects cannot corrupt an in-progress step
+// loop.
 func (n *Node) kick(v *VCPU) {
-	n.eng.Schedule(0, func() {
-		if v.state != StateRunnable {
-			return
+	if v.state != StateRunnable {
+		return
+	}
+	idle := false
+	for _, p := range n.pcpus {
+		if p.cur == nil {
+			// Kick every idle PCPU: without runqueue stealing only
+			// the woken VCPU's home PCPU can pick it up, and kick
+			// cannot know which one that is. scheduleDispatch
+			// coalesces, so this stays cheap.
+			p.scheduleDispatch()
+			idle = true
 		}
-		idle := false
-		for _, p := range n.pcpus {
-			if p.cur == nil {
-				// Kick every idle PCPU: without runqueue stealing only
-				// the woken VCPU's home PCPU can pick it up, and kick
-				// cannot know which one that is. scheduleDispatch
-				// coalesces, so this stays cheap.
-				p.scheduleDispatch()
-				idle = true
-			}
+	}
+	if idle {
+		return
+	}
+	// Tickle the preemptible PCPU running the longest-held slice so
+	// wake preemptions spread rather than hammering PCPU 0.
+	var victim *PCPU
+	for _, p := range n.pcpus {
+		if p.cur == nil || p.cur == v || !n.sched.WakePreempts(p, v) {
+			continue
 		}
-		if idle {
-			return
+		if victim == nil || p.sliceEnd < victim.sliceEnd {
+			victim = p
 		}
-		// Tickle the preemptible PCPU running the longest-held slice so
-		// wake preemptions spread rather than hammering PCPU 0.
-		var victim *PCPU
-		for _, p := range n.pcpus {
-			if p.cur == nil || p.cur == v || !n.sched.WakePreempts(p, v) {
-				continue
-			}
-			if victim == nil || p.sliceEnd < victim.sliceEnd {
-				victim = p
-			}
-		}
-		if victim != nil {
-			victim.Preempt()
-		}
-	})
+	}
+	if victim != nil {
+		victim.Preempt()
+	}
 }
 
 // Wakes returns the number of wake transitions on this node.
@@ -364,7 +364,7 @@ func (n *Node) LLCMisses() uint64 {
 // start installs dom0, timers, and the initial dispatch.
 func (n *Node) start() {
 	for _, v := range n.dom0.vcpus {
-		v.proc = &backendProc{b: n.backend}
+		v.proc = newBackendProc(n.backend)
 	}
 	for _, v := range n.vcpus {
 		n.sched.Register(v)

@@ -58,6 +58,9 @@ type VCPU struct {
 
 	state VCPUState
 	pcpu  *PCPU
+	// kickFn is Node.kick bound to this VCPU once, so a wake schedules
+	// it without allocating a closure.
+	kickFn func()
 
 	// pending is the in-flight action; nil when the next one must be
 	// fetched from proc. It always points at pendingBuf, which exists to

@@ -67,10 +67,17 @@ type VM struct {
 	// §III-C).
 	AdminSlice sim.Time
 
-	vcpus   []*VCPU
-	locks   []*Spinlock
-	mail    map[mailKey]*fifo[Packet]
-	waiting map[mailKey]*VCPU
+	vcpus []*VCPU
+	locks []*Spinlock
+	// mail holds the undelivered packets per (proc, tag). An entry lives
+	// only while its queue is non-empty: takeMail deletes it on drain
+	// (tags such as BSP's are never reused, so kept entries would grow
+	// without bound) and parks the fifo on freeMail for deliver to reuse.
+	// deliver allocates a fifo only when freeMail is empty, so live plus
+	// free fifos never exceed the peak number of live entries.
+	mail     map[mailKey]*fifo[Packet]
+	freeMail []*fifo[Packet]
+	waiting  map[mailKey]*VCPU
 
 	// SpinMon aggregates guest spinlock latency (the ATC input signal).
 	SpinMon SpinMonitor
@@ -238,7 +245,13 @@ func (vm *VM) deliver(pkt Packet) {
 	key := mailKey{proc: pkt.DstProc, tag: pkt.Tag}
 	q := vm.mail[key]
 	if q == nil {
-		q = &fifo[Packet]{}
+		if n := len(vm.freeMail); n > 0 {
+			q = vm.freeMail[n-1]
+			vm.freeMail[n-1] = nil
+			vm.freeMail = vm.freeMail[:n-1]
+		} else {
+			q = &fifo[Packet]{}
+		}
 		vm.mail[key] = q
 	}
 	q.push(pkt)
@@ -265,13 +278,21 @@ func (vm *VM) mailReady(proc, tag int) bool {
 	return q != nil && q.len() > 0
 }
 
-// takeMail removes and returns the first matching packet.
+// takeMail removes and returns the first matching packet, retiring the
+// mailbox entry when that empties it.
 func (vm *VM) takeMail(proc, tag int) Packet {
-	q := vm.mail[mailKey{proc: proc, tag: tag}]
+	key := mailKey{proc: proc, tag: tag}
+	q := vm.mail[key]
 	if q == nil || q.len() == 0 {
 		panic(fmt.Sprintf("vmm: takeMail with empty mailbox proc=%d tag=%d on %s", proc, tag, vm.name))
 	}
-	return q.pop()
+	pkt := q.pop()
+	if q.len() == 0 {
+		delete(vm.mail, key)
+		q.reset()
+		vm.freeMail = append(vm.freeMail, q)
+	}
+	return pkt
 }
 
 // waitMail registers v as the blocked receiver for (proc, tag).

@@ -124,6 +124,8 @@ type bspProc struct {
 	queue   []vmm.Action
 	qi      int
 	started bool
+	// peers is the reusable buffer for the iteration's send/recv peers.
+	peers []int
 
 	// Spin-barrier sub-state (IntraVMBarrier): the flat action queue
 	// cannot express the data-dependent poll loop, so Next drives it.
@@ -238,10 +240,12 @@ func (p *bspProc) buildIteration() {
 
 	// Cross-VM exchange: post all sends, then wait for all receives.
 	n := len(p.app.VMs)
-	for _, dst := range pr.Pattern.sendTo(it, p.vmIdx, n) {
+	p.peers = pr.Pattern.sendTo(p.peers, it, p.vmIdx, n)
+	for _, dst := range p.peers {
 		q = append(q, vmm.Send(p.app.VMs[dst], p.rank, p.app.tag(p.round, it, p.vmIdx), pr.MsgSize))
 	}
-	for _, src := range pr.Pattern.recvFrom(it, p.vmIdx, n) {
+	p.peers = pr.Pattern.recvFrom(p.peers, it, p.vmIdx, n)
+	for _, src := range p.peers {
 		q = append(q, vmm.RecvPoll(p.app.tag(p.round, it, src), pr.RecvPoll))
 	}
 
