@@ -132,11 +132,27 @@ func (s *Stats) add(o Stats) {
 	s.Degraded += o.Degraded
 }
 
-// vmMeta is the classification the daemon remembers for VMs it has
-// seen, so it can keep deciding for them through a monitoring blackout.
-type vmMeta struct {
+// vmCtl is everything a node's loop remembers about one VM: the
+// classification that keeps it decided through a monitoring blackout
+// (known), the slice in force (hasLast), the last fresh sample
+// sequence, and the stale/dropout run. A record exists once any of
+// them is set; a snapshot lists these VMs plus any the controller
+// tracks.
+type vmCtl struct {
+	id       int
+	known    bool
 	parallel bool
 	admin    sim.Time
+	hasLast  bool
+	last     sim.Time
+	seq      uint64
+	// staleRuns counts consecutive periods the VM's sample was stale or
+	// missing; seen stamps the last period (nodeLoop.stamp) it was
+	// sampled at all.
+	staleRuns int
+	seen      uint64
+	// label is the VM's telemetry label ("vm<id>"), built on first use.
+	label string
 }
 
 // nodeLoop is the per-node heart of the control plane: one controller
@@ -146,13 +162,14 @@ type vmMeta struct {
 type nodeLoop struct {
 	ctl  *core.Controller
 	opts Options
-	last map[int]sim.Time
-
-	// lastSeq/staleRuns/known implement stale detection and blackout
-	// degradation; consecDrops drives the give-up policy.
-	lastSeq     map[int]uint64
-	staleRuns   map[int]int
-	known       map[int]vmMeta
+	// vms finds a VM's record; order holds the same records in creation
+	// order, so the per-period sweeps walk a slice, not a map iterator.
+	vms   map[int]*vmCtl
+	order []*vmCtl
+	// stamp numbers decide calls, so dropout detection needs no
+	// per-decision seen set; infos is decide's reusable scratch.
+	stamp       uint64
+	infos       []core.VMInfo
 	consecDrops int
 
 	periods uint64
@@ -163,13 +180,21 @@ type nodeLoop struct {
 // sanitized; cfg zero-value panics (use core.DefaultConfig()).
 func newNodeLoop(cfg core.Config, opts Options) *nodeLoop {
 	return &nodeLoop{
-		ctl:       core.NewController(cfg),
-		opts:      opts,
-		last:      make(map[int]sim.Time),
-		lastSeq:   make(map[int]uint64),
-		staleRuns: make(map[int]int),
-		known:     make(map[int]vmMeta),
+		ctl:  core.NewController(cfg),
+		opts: opts,
+		vms:  make(map[int]*vmCtl),
 	}
+}
+
+// vm returns the record for id, creating an empty one on first sight.
+func (l *nodeLoop) vm(id int) *vmCtl {
+	r, ok := l.vms[id]
+	if !ok {
+		r = &vmCtl{id: id}
+		l.vms[id] = r
+		l.order = append(l.order, r)
+	}
+	return r
 }
 
 // decide consumes one period's samples: stale-filter, feed the
@@ -178,37 +203,39 @@ func newNodeLoop(cfg core.Config, opts Options) *nodeLoop {
 // actuation lands, so a failed Apply can never record a slice that
 // never took effect.
 func (l *nodeLoop) decide(samples []VMSample) map[int]sim.Time {
-	seen := make(map[int]bool, len(samples))
-	infos := make([]core.VMInfo, 0, len(samples))
+	l.stamp++
+	infos := l.infos[:0]
 	for _, s := range samples {
-		seen[s.ID] = true
-		if _, ok := l.known[s.ID]; !ok {
-			l.known[s.ID] = vmMeta{parallel: s.Parallel, admin: s.AdminSlice}
+		r := l.vm(s.ID)
+		r.seen = l.stamp
+		if !r.known {
+			r.known, r.parallel, r.admin = true, s.Parallel, s.AdminSlice
 		}
-		if s.Seq != 0 && s.Seq <= l.lastSeq[s.ID] {
+		if s.Seq != 0 && s.Seq <= r.seq {
 			// The monitor is repeating itself; skip the observation
 			// rather than feeding old data back into the controller.
 			l.stats.StaleSamples++
-			l.staleRuns[s.ID]++
+			r.staleRuns++
 			continue
 		}
 		if s.Seq != 0 {
-			l.lastSeq[s.ID] = s.Seq
+			r.seq = s.Seq
 		}
-		l.staleRuns[s.ID] = 0
-		l.known[s.ID] = vmMeta{parallel: s.Parallel, admin: s.AdminSlice}
-		inForce, ok := l.last[s.ID]
-		if !ok {
-			inForce = l.ctl.Config().Default
+		r.staleRuns = 0
+		r.parallel, r.admin = s.Parallel, s.AdminSlice
+		inForce := l.ctl.Config().Default
+		if r.hasLast {
+			inForce = r.last
 		}
 		l.ctl.Observe(s.ID, s.AvgSpinLatency, inForce)
 		infos = append(infos, core.VMInfo{ID: s.ID, Parallel: s.Parallel, AdminSlice: s.AdminSlice})
 	}
+	l.infos = infos
 	// A known VM missing from the sample set entirely is a dropout —
 	// the other face of a monitoring blackout.
-	for id := range l.known {
-		if !seen[id] {
-			l.staleRuns[id]++
+	for _, r := range l.order {
+		if r.known && r.seen != l.stamp {
+			r.staleRuns++
 		}
 	}
 	slices := l.ctl.NodeSlices(infos)
@@ -220,7 +247,8 @@ func (l *nodeLoop) decide(samples []VMSample) map[int]sim.Time {
 // history and the period counts.
 func (l *nodeLoop) commit(slices map[int]sim.Time) {
 	for id, sl := range slices {
-		l.last[id] = sl
+		r := l.vm(id)
+		r.hasLast, r.last = true, sl
 	}
 	l.periods++
 }
@@ -234,30 +262,29 @@ func (l *nodeLoop) commit(slices map[int]sim.Time) {
 func (l *nodeLoop) degradeBlackedOut(slices map[int]sim.Time) {
 	def := l.ctl.Config().Default
 	step := l.ctl.Config().Alpha
-	for id, runs := range l.staleRuns {
-		if runs == 0 {
+	for _, r := range l.order {
+		if r.staleRuns == 0 {
 			continue
 		}
-		cur, ok := l.last[id]
-		if !ok {
-			cur = def
+		cur := def
+		if r.hasLast {
+			cur = r.last
 		}
-		meta := l.known[id]
 		switch {
-		case runs < l.opts.StaleAfter:
-			slices[id] = cur
-		case !meta.parallel:
-			if meta.admin > 0 {
-				slices[id] = meta.admin
+		case r.staleRuns < l.opts.StaleAfter:
+			slices[r.id] = cur
+		case !r.parallel:
+			if r.admin > 0 {
+				slices[r.id] = r.admin
 			} else {
-				slices[id] = def
+				slices[r.id] = def
 			}
 		default:
 			next := stepToward(cur, def, step)
 			if next != cur {
 				l.stats.Degraded++
 			}
-			slices[id] = next
+			slices[r.id] = next
 		}
 	}
 }

@@ -45,9 +45,11 @@ type FleetOptions struct {
 	// per-node controller state is sharded across (hash(node)→shard;
 	// default 1). There are no cross-shard locks on the hot path.
 	Shards int
-	// IngestCapacity bounds the central telemetry ring buffer (default
-	// 256 batches). Ingest blocks when the ring is full: backpressure,
-	// not silent loss.
+	// IngestCapacity bounds each shard's ingest channel (default 256
+	// slots). One slot holds one hand-off to the shard: all of a Step's
+	// batches for that shard, or the single batch of one Ingest call.
+	// Ingest and Step block when the channel is full: backpressure, not
+	// silent loss.
 	IngestCapacity int
 	// QueueCapacity bounds each node's actuation queue (default 4).
 	// When a node's queue is full the OLDEST queued decision for that
@@ -82,15 +84,14 @@ const fleetShardSalt = 0xa7c15f1ee7
 type ingestItem struct {
 	batch NodeBatch
 	enq   time.Time
-	done  func()
 }
 
 // actItem is one decided-but-not-yet-applied actuation.
 type actItem struct {
+	fn     *fleetNode
 	node   int
 	slices map[int]sim.Time
 	enq    time.Time
-	done   func()
 }
 
 // fleetNode is one node's control state plus the lock that lets the
@@ -101,42 +102,47 @@ type fleetNode struct {
 	mu         sync.Mutex
 	loop       *nodeLoop
 	lastCommit time.Time // wall clock of the last committed actuation
+
+	qdepth int // queued actuations for this node; guarded by the shard's qmu
 }
 
 // fleetShard owns a disjoint subset of nodes: one decider goroutine
-// draining batchc into per-node decisions, one applier goroutine
-// draining the bounded actuation queue. Shards share nothing but the
-// Fleet's counters (atomics), so the hot path takes no cross-shard
-// locks.
+// turning each chunk received on batchc into per-node decisions, one
+// applier goroutine draining the bounded actuation queue. Shards share
+// nothing but the Fleet's counters (atomics), so the hot path takes no
+// cross-shard locks.
 type fleetShard struct {
 	f      *Fleet
-	batchc chan ingestItem
+	batchc chan []ingestItem
+	chunk  []ingestItem // Step's reusable chunk for this shard
 
 	mu    sync.Mutex // guards nodes
 	nodes map[int]*fleetNode
 
-	qmu     sync.Mutex // guards queue/qdepth/qclosed; ordered before fleetNode.mu
+	// queue[qhead:] is the pending actuations, oldest first; the slice
+	// is reused in place and rewinds whenever it empties.
+	qmu     sync.Mutex // guards queue/qhead/qclosed and fleetNode.qdepth; ordered before fleetNode.mu
 	qcond   *sync.Cond
-	queue   []*actItem
-	qdepth  map[int]int
+	queue   []actItem
+	qhead   int
 	qclosed bool
 }
 
 // Fleet is the control plane, from one node to thousands: batched
-// telemetry ingestion through a bounded ring, per-node controller state
-// (nodeLoop) sharded across goroutines, and bounded per-node actuation
-// queues with overflow accounting. Step runs one fleet-wide control
-// period with a drain barrier, which keeps closed-loop simulation
-// deterministic at any shard count; Ingest/Drain expose the
-// asynchronous surface directly.
+// telemetry ingestion handed to each shard over a bounded channel,
+// per-node controller state (nodeLoop) sharded across goroutines, and
+// bounded per-node actuation queues with overflow accounting. Step runs
+// one fleet-wide control period — one hand-off per shard — with a drain
+// barrier, which keeps closed-loop simulation deterministic at any
+// shard count; Ingest/Drain expose the asynchronous surface directly.
 type Fleet struct {
 	cfg  core.Config
 	opts FleetOptions
 	src  FleetSource
 	act  FleetActuator
 
-	ingestMu sync.RWMutex // serializes Ingest sends against Close
-	ingestc  chan ingestItem
+	ingestMu sync.RWMutex // serializes shard hand-offs against Close
+	queued   atomic.Int64 // batches handed off but not yet taken by a decider
 	shards   []*fleetShard
 	inflight sync.WaitGroup
 	wg       sync.WaitGroup
@@ -163,34 +169,30 @@ type Fleet struct {
 }
 
 // NewFleet builds the fleet control plane and starts its pipeline
-// goroutines (1 dispatcher + Shards×(decider, applier)). src may be nil
-// when the caller drives Ingest/Drain directly; Step then errors.
+// goroutines (Shards×(decider, applier)). src may be nil when the
+// caller drives Ingest/Drain directly; Step then errors.
 func NewFleet(cfg core.Config, src FleetSource, act FleetActuator, opts FleetOptions) *Fleet {
 	if act == nil {
 		panic("daemon: nil fleet actuator")
 	}
 	opts.sanitize()
 	f := &Fleet{
-		cfg:     cfg,
-		opts:    opts,
-		src:     src,
-		act:     act,
-		ingestc: make(chan ingestItem, opts.IngestCapacity),
-		stopc:   make(chan struct{}),
+		cfg:   cfg,
+		opts:  opts,
+		src:   src,
+		act:   act,
+		stopc: make(chan struct{}),
 	}
 	f.shards = make([]*fleetShard, opts.Shards)
 	for i := range f.shards {
 		sh := &fleetShard{
 			f:      f,
-			batchc: make(chan ingestItem, opts.IngestCapacity),
+			batchc: make(chan []ingestItem, opts.IngestCapacity),
 			nodes:  make(map[int]*fleetNode),
-			qdepth: make(map[int]int),
 		}
 		sh.qcond = sync.NewCond(&sh.qmu)
 		f.shards[i] = sh
 	}
-	f.wg.Add(1)
-	go f.dispatch()
 	for _, sh := range f.shards {
 		f.wg.Add(2)
 		go sh.decideLoop()
@@ -228,41 +230,44 @@ func (f *Fleet) telNow() sim.Time {
 	return sim.Time(f.telSteps.Load()) * 30 * sim.Millisecond
 }
 
-// Ingest queues one node's batch for decision and actuation, blocking
-// when the ring buffer is full (backpressure). Batches for nodes
-// outside MaxNodes are counted in Rejected and ignored. Returns an
-// error only after Close.
+// Ingest hands one node's batch to its shard for decision and
+// actuation, blocking when the shard's ingest channel is full
+// (backpressure). Batches for nodes outside MaxNodes are counted in
+// Rejected and ignored. Returns an error only after Close.
 func (f *Fleet) Ingest(b NodeBatch) error {
-	if f.opts.MaxNodes > 0 && (b.Node < 0 || b.Node >= f.opts.MaxNodes) {
-		f.rejected.Add(1)
+	if !f.admit(b.Node) {
 		return nil
 	}
+	return f.handOff(f.shardOf(b.Node), []ingestItem{{batch: b, enq: time.Now()}})
+}
+
+// admit reports whether node is inside MaxNodes, counting a rejection
+// when it is not.
+func (f *Fleet) admit(node int) bool {
+	if f.opts.MaxNodes > 0 && (node < 0 || node >= f.opts.MaxNodes) {
+		f.rejected.Add(1)
+		return false
+	}
+	return true
+}
+
+// handOff sends one chunk of batches to a shard's decider: the single
+// path from Ingest and Step into the pipeline.
+func (f *Fleet) handOff(sh *fleetShard, chunk []ingestItem) error {
 	f.ingestMu.RLock()
 	defer f.ingestMu.RUnlock()
 	if f.closed.Load() {
 		return errors.New("daemon: fleet closed")
 	}
-	f.inflight.Add(1)
-	f.ingestc <- ingestItem{batch: b, enq: time.Now(), done: f.inflight.Done}
+	f.inflight.Add(len(chunk))
+	f.queued.Add(int64(len(chunk)))
+	sh.batchc <- chunk
 	return nil
 }
 
 // Drain blocks until every ingested batch has been decided and its
 // actuation has landed, overflowed, or dropped — the period barrier.
 func (f *Fleet) Drain() { f.inflight.Wait() }
-
-// dispatch drains the central ring onto the shards.
-func (f *Fleet) dispatch() {
-	defer f.wg.Done()
-	defer func() {
-		for _, sh := range f.shards {
-			close(sh.batchc)
-		}
-	}()
-	for it := range f.ingestc {
-		f.shardOf(it.batch.Node).batchc <- it
-	}
-}
 
 // node returns the shard-local state for a node, creating it on first
 // sight.
@@ -277,52 +282,76 @@ func (sh *fleetShard) node(id int) *fleetNode {
 	return fn
 }
 
-// decideLoop turns batches into slice decisions and queues them for
-// actuation.
+// decideLoop turns each chunk of batches into slice decisions and
+// queues them for actuation in one push.
 func (sh *fleetShard) decideLoop() {
 	defer sh.f.wg.Done()
 	defer sh.closeQueue()
-	for it := range sh.batchc {
-		fn := sh.node(it.batch.Node)
-		fn.mu.Lock()
-		slices := fn.loop.decide(it.batch.Samples)
-		fn.mu.Unlock()
-		sh.push(&actItem{node: it.batch.Node, slices: slices, enq: it.enq, done: it.done})
+	var acts, evicted []actItem
+	for chunk := range sh.batchc {
+		sh.f.queued.Add(-int64(len(chunk)))
+		acts = acts[:0]
+		for _, it := range chunk {
+			fn := sh.node(it.batch.Node)
+			fn.mu.Lock()
+			slices := fn.loop.decide(it.batch.Samples)
+			fn.mu.Unlock()
+			acts = append(acts, actItem{fn: fn, node: it.batch.Node, slices: slices, enq: it.enq})
+		}
+		evicted = sh.push(acts, evicted[:0])
+		for i := range evicted {
+			sh.drop(&evicted[i])
+		}
+		clear(acts)
+		clear(evicted)
 	}
 }
 
-// push appends one actuation, evicting the oldest queued decision for
-// the same node when its queue is at capacity (superseded by fresher
-// data; counted as overflow and a dropped period, but not as a
-// consecutive drop — nothing failed, the plane just fell behind).
-func (sh *fleetShard) push(it *actItem) {
-	var evicted *actItem
+// push appends a chunk's actuations under one lock and one wake-up and
+// returns, appended to evicted, the queued decisions they displaced:
+// when a node's queue is at capacity its oldest queued decision is
+// evicted, superseded by fresher data.
+func (sh *fleetShard) push(acts, evicted []actItem) []actItem {
 	sh.qmu.Lock()
-	if sh.qdepth[it.node] >= sh.f.opts.QueueCapacity {
-		for i, old := range sh.queue {
-			if old.node == it.node {
-				sh.queue = append(sh.queue[:i], sh.queue[i+1:]...)
-				sh.qdepth[it.node]--
-				evicted = old
-				break
+	defer sh.qmu.Unlock()
+	if sh.qhead > 0 && len(sh.queue)+len(acts) > cap(sh.queue) {
+		// Compact rather than grow past the dead prefix.
+		n := copy(sh.queue, sh.queue[sh.qhead:])
+		clear(sh.queue[n:])
+		sh.queue, sh.qhead = sh.queue[:n], 0
+	}
+	for _, it := range acts {
+		if it.fn.qdepth >= sh.f.opts.QueueCapacity {
+			for i := sh.qhead; i < len(sh.queue); i++ {
+				if sh.queue[i].fn == it.fn {
+					evicted = append(evicted, sh.queue[i])
+					copy(sh.queue[i:], sh.queue[i+1:])
+					sh.queue[len(sh.queue)-1] = actItem{}
+					sh.queue = sh.queue[:len(sh.queue)-1]
+					it.fn.qdepth--
+					break
+				}
 			}
 		}
+		sh.queue = append(sh.queue, it)
+		it.fn.qdepth++
 	}
-	sh.queue = append(sh.queue, it)
-	sh.qdepth[it.node]++
 	sh.qcond.Signal()
-	sh.qmu.Unlock()
-	if evicted != nil {
-		sh.f.overflow.Add(1)
-		fn := sh.node(evicted.node)
-		fn.mu.Lock()
-		fn.loop.stats.DroppedPeriods++
-		fn.mu.Unlock()
-		if sh.f.tel != nil {
-			sh.f.tel.Add("fleet_actq_overflow", telemetry.GlobalLabel(), 1)
-		}
-		evicted.done()
+	return evicted
+}
+
+// drop accounts for one evicted decision: overflow and a dropped
+// period, but not a consecutive drop — nothing failed, the plane just
+// fell behind.
+func (sh *fleetShard) drop(it *actItem) {
+	sh.f.overflow.Add(1)
+	it.fn.mu.Lock()
+	it.fn.loop.stats.DroppedPeriods++
+	it.fn.mu.Unlock()
+	if sh.f.tel != nil {
+		sh.f.tel.Add("fleet_actq_overflow", telemetry.GlobalLabel(), 1)
 	}
+	sh.f.inflight.Done()
 }
 
 // closeQueue wakes the applier for final drain-and-exit.
@@ -333,21 +362,25 @@ func (sh *fleetShard) closeQueue() {
 	sh.qmu.Unlock()
 }
 
-// pop blocks for the next actuation; nil means closed and fully
+// pop blocks for the next actuation; false means closed and fully
 // drained.
-func (sh *fleetShard) pop() *actItem {
+func (sh *fleetShard) pop() (actItem, bool) {
 	sh.qmu.Lock()
 	defer sh.qmu.Unlock()
-	for len(sh.queue) == 0 && !sh.qclosed {
+	for sh.qhead == len(sh.queue) && !sh.qclosed {
 		sh.qcond.Wait()
 	}
-	if len(sh.queue) == 0 {
-		return nil
+	if sh.qhead == len(sh.queue) {
+		return actItem{}, false
 	}
-	it := sh.queue[0]
-	sh.queue = sh.queue[1:]
-	sh.qdepth[it.node]--
-	return it
+	it := sh.queue[sh.qhead]
+	sh.queue[sh.qhead] = actItem{}
+	sh.qhead++
+	if sh.qhead == len(sh.queue) {
+		sh.queue, sh.qhead = sh.queue[:0], 0
+	}
+	it.fn.qdepth--
+	return it, true
 }
 
 // applyLoop drains the actuation queue through the per-node retry
@@ -355,11 +388,11 @@ func (sh *fleetShard) pop() *actItem {
 func (sh *fleetShard) applyLoop() {
 	defer sh.f.wg.Done()
 	for {
-		it := sh.pop()
-		if it == nil {
+		it, ok := sh.pop()
+		if !ok {
 			return
 		}
-		sh.apply(it)
+		sh.apply(&it)
 	}
 }
 
@@ -368,8 +401,8 @@ func (sh *fleetShard) applyLoop() {
 // for this node — and re-taken for every state mutation, reusing
 // nodeLoop.applyWithRetry verbatim.
 func (sh *fleetShard) apply(it *actItem) {
-	defer it.done()
-	fn := sh.node(it.node)
+	defer sh.f.inflight.Done()
+	fn := it.fn
 	fn.mu.Lock()
 	committed, err := fn.loop.applyWithRetry(it.slices, func(s map[int]sim.Time) error {
 		fn.mu.Unlock()
@@ -381,6 +414,9 @@ func (sh *fleetShard) apply(it *actItem) {
 		fn.loop.commit(it.slices)
 		fn.lastCommit = time.Now()
 	}
+	if sh.f.tel != nil {
+		sh.f.publishApply(it, fn.loop, committed, err)
+	}
 	fn.mu.Unlock()
 	if err != nil {
 		sh.f.setErr(fmt.Errorf("fleet node %d: %w", it.node, err))
@@ -388,15 +424,13 @@ func (sh *fleetShard) apply(it *actItem) {
 	if committed {
 		sh.f.decisions.Add(1)
 	}
-	if sh.f.tel != nil {
-		sh.f.publishApply(it, committed, err)
-	}
 }
 
 // publishApply records one node-period's actuation outcome (tel is
-// non-nil when called): its daemon_decision_* counter and, on commit,
-// the decision latency and the node's per-VM slice points.
-func (f *Fleet) publishApply(it *actItem, committed bool, err error) {
+// non-nil when called; the caller holds the node lock, since l's VM
+// records carry the cached labels): its daemon_decision_* counter and,
+// on commit, the decision latency and the node's per-VM slice points.
+func (f *Fleet) publishApply(it *actItem, l *nodeLoop, committed bool, err error) {
 	lab := telemetry.GlobalLabel()
 	switch {
 	case err != nil:
@@ -408,8 +442,11 @@ func (f *Fleet) publishApply(it *actItem, committed bool, err error) {
 		f.tel.Observe("fleet_decision_latency", lab, sim.Time(time.Since(it.enq).Nanoseconds()))
 		now := f.telNow()
 		for id, sl := range it.slices {
-			f.tel.Point("daemon_slice_ns",
-				telemetry.Label{Node: it.node, VM: fmt.Sprintf("vm%d", id)}, now, float64(sl))
+			r := l.vm(id)
+			if r.label == "" {
+				r.label = fmt.Sprintf("vm%d", id)
+			}
+			f.tel.Point("daemon_slice_ns", telemetry.Label{Node: it.node, VM: r.label}, now, float64(sl))
 		}
 	}
 }
@@ -466,10 +503,11 @@ func (f *Fleet) Err() error {
 	return f.err
 }
 
-// Step runs one fleet-wide control period: sample every node, ingest
-// the batches through the pipeline, and wait for the drain barrier. It
-// returns io.EOF when the source is exhausted and the sticky terminal
-// error once any node's loop has given up.
+// Step runs one fleet-wide control period: sample every node, hand
+// each shard its share of the batches as one chunk, and wait for the
+// drain barrier. It returns io.EOF when the source is exhausted and the
+// sticky terminal error once any node's loop has given up. Step is not
+// safe for concurrent use with itself; Ingest may run alongside it.
 func (f *Fleet) Step() error {
 	if err := f.Err(); err != nil {
 		return err
@@ -483,15 +521,33 @@ func (f *Fleet) Step() error {
 		return err
 	}
 	f.telSteps.Add(1)
+	enq := time.Now()
 	for _, b := range batches {
-		if err := f.Ingest(b); err != nil {
+		if f.admit(b.Node) {
+			sh := f.shardOf(b.Node)
+			sh.chunk = append(sh.chunk, ingestItem{batch: b, enq: enq})
+		}
+	}
+	for _, sh := range f.shards {
+		if len(sh.chunk) == 0 {
+			continue
+		}
+		if err := f.handOff(sh, sh.chunk); err != nil {
+			for _, sh := range f.shards {
+				sh.chunk = nil // a decider may still hold the old ones
+			}
 			return err
 		}
 	}
 	if f.tel != nil {
-		f.tel.SetGauge("fleet_ingest_depth", telemetry.GlobalLabel(), float64(len(f.ingestc)))
+		f.tel.SetGauge("fleet_ingest_depth", telemetry.GlobalLabel(), float64(f.queued.Load()))
 	}
 	f.Drain()
+	for _, sh := range f.shards {
+		// The deciders are done with the chunks: reuse them next period.
+		clear(sh.chunk)
+		sh.chunk = sh.chunk[:0]
+	}
 	f.periods.Add(1)
 	if f.tel != nil {
 		f.publishStep(start)
@@ -531,7 +587,9 @@ func (f *Fleet) Close() {
 	f.closeOnce.Do(func() {
 		f.ingestMu.Lock()
 		f.closed.Store(true)
-		close(f.ingestc)
+		for _, sh := range f.shards {
+			close(sh.batchc)
+		}
 		f.ingestMu.Unlock()
 		f.wg.Wait()
 	})
@@ -602,9 +660,11 @@ func (f *Fleet) LastSlices(node int) map[int]sim.Time {
 	}
 	fn.mu.Lock()
 	defer fn.mu.Unlock()
-	out := make(map[int]sim.Time, len(fn.loop.last))
-	for id, sl := range fn.loop.last {
-		out[id] = sl
+	out := make(map[int]sim.Time, len(fn.loop.order))
+	for _, r := range fn.loop.order {
+		if r.hasLast {
+			out[r.id] = r.last
+		}
 	}
 	return out
 }
@@ -646,12 +706,23 @@ func (f *Fleet) Table() []FleetNodeStatus {
 		for _, id := range ids {
 			fn := sh.node(id)
 			sh.qmu.Lock()
-			depth := sh.qdepth[id]
+			depth := fn.qdepth
 			sh.qmu.Unlock()
 			fn.mu.Lock()
+			vms := 0
+			minSlice := sim.Time(0)
+			for _, r := range fn.loop.order {
+				if !r.known {
+					continue
+				}
+				vms++
+				if r.parallel && r.hasLast && (minSlice == 0 || r.last < minSlice) {
+					minSlice = r.last
+				}
+			}
 			st := FleetNodeStatus{
 				Node:              id,
-				VMs:               len(fn.loop.known),
+				VMs:               vms,
 				Periods:           fn.loop.periods,
 				LastDecisionAgeMS: -1,
 				QueueDepth:        depth,
@@ -660,15 +731,6 @@ func (f *Fleet) Table() []FleetNodeStatus {
 			}
 			if !fn.lastCommit.IsZero() {
 				st.LastDecisionAgeMS = float64(now.Sub(fn.lastCommit)) / float64(time.Millisecond)
-			}
-			minSlice := sim.Time(0)
-			for vid, meta := range fn.loop.known {
-				if !meta.parallel {
-					continue
-				}
-				if sl, ok := fn.loop.last[vid]; ok && (minSlice == 0 || sl < minSlice) {
-					minSlice = sl
-				}
 			}
 			st.SliceUS = minSlice.Micros()
 			fn.mu.Unlock()
@@ -700,7 +762,7 @@ func (f *Fleet) Summary() FleetSummary {
 		Decisions:   f.Decisions(),
 		Overflow:    f.Overflow(),
 		Rejected:    f.Rejected(),
-		IngestDepth: len(f.ingestc),
+		IngestDepth: int(f.queued.Load()),
 		Stats:       f.Stats(),
 	}
 	for _, sh := range f.shards {
@@ -708,7 +770,7 @@ func (f *Fleet) Summary() FleetSummary {
 		s.Nodes += len(sh.nodes)
 		sh.mu.Unlock()
 		sh.qmu.Lock()
-		s.QueueDepth += len(sh.queue)
+		s.QueueDepth += len(sh.queue) - sh.qhead
 		sh.qmu.Unlock()
 	}
 	return s

@@ -3,7 +3,7 @@ package daemon
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 
 	"atcsched/internal/core"
 	"atcsched/internal/sim"
@@ -46,7 +46,7 @@ type NodeSnapshot struct {
 // sequence numbers, stale/backoff accounting, plus the fleet queue
 // cursors (Periods/Decisions/Overflow). It holds no wall-clock state,
 // so a restore never perturbs the determinism fingerprint. Snapshots
-// are taken at the Step barrier, when the ingest ring and actuation
+// are taken at the Step barrier, when the ingest channels and actuation
 // queues are empty — the queue cursor is the period count.
 type FleetSnapshot struct {
 	Version   int            `json:"version"`
@@ -67,22 +67,30 @@ func (s *FleetSnapshot) Encode() ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// DecodeSnapshot parses and version-checks a snapshot.
+// DecodeSnapshot parses and version-checks a snapshot in one pass. Only
+// a document that fails to parse is probed for its version, so one of
+// another version reports the version mismatch rather than whatever
+// field of its schema this one cannot read.
 func DecodeSnapshot(data []byte) (*FleetSnapshot, error) {
-	var probe struct {
-		Version int `json:"version"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return nil, fmt.Errorf("daemon: snapshot: %w", err)
-	}
-	if probe.Version != SnapshotVersion {
-		return nil, fmt.Errorf("daemon: snapshot version %d, want %d", probe.Version, SnapshotVersion)
-	}
 	var s FleetSnapshot
 	if err := json.Unmarshal(data, &s); err != nil {
+		var probe struct {
+			Version int `json:"version"`
+		}
+		if json.Unmarshal(data, &probe) == nil && probe.Version != SnapshotVersion {
+			return nil, versionError(probe.Version)
+		}
 		return nil, fmt.Errorf("daemon: snapshot: %w", err)
 	}
+	if s.Version != SnapshotVersion {
+		return nil, versionError(s.Version)
+	}
 	return &s, nil
+}
+
+// versionError reports a snapshot of another schema version.
+func versionError(v int) error {
+	return fmt.Errorf("daemon: snapshot version %d, want %d", v, SnapshotVersion)
 }
 
 // Snapshot captures the fleet's control state. Call it at a Step
@@ -119,37 +127,18 @@ func snapshotNode(id int, l *nodeLoop) NodeSnapshot {
 		ConsecDrops: l.consecDrops,
 		Stats:       l.stats,
 	}
-	ids := map[int]bool{}
-	for vid := range l.last {
-		ids[vid] = true
+	ids := l.ctl.TrackedVMs()
+	for _, r := range l.order {
+		ids = append(ids, r.id)
 	}
-	for vid := range l.lastSeq {
-		ids[vid] = true
-	}
-	for vid := range l.staleRuns {
-		ids[vid] = true
-	}
-	for vid := range l.known {
-		ids[vid] = true
-	}
-	for _, vid := range l.ctl.TrackedVMs() {
-		ids[vid] = true
-	}
-	sorted := make([]int, 0, len(ids))
-	for vid := range ids {
-		sorted = append(sorted, vid)
-	}
-	sort.Ints(sorted)
-	for _, vid := range sorted {
-		vs := VMSnapshot{ID: vid, Seq: l.lastSeq[vid], StaleRuns: l.staleRuns[vid]}
-		if meta, ok := l.known[vid]; ok {
-			vs.Known = true
-			vs.Parallel = meta.parallel
-			vs.Admin = meta.admin
-		}
-		if last, ok := l.last[vid]; ok {
-			vs.HasLast = true
-			vs.Last = last
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	for _, vid := range ids {
+		vs := VMSnapshot{ID: vid}
+		if r, ok := l.vms[vid]; ok {
+			vs.Known, vs.Parallel, vs.Admin = r.known, r.parallel, r.admin
+			vs.HasLast, vs.Last = r.hasLast, r.last
+			vs.Seq, vs.StaleRuns = r.seq, r.staleRuns
 		}
 		if lat, slice, obs, ok := l.ctl.ExportVM(vid); ok {
 			vs.Lat, vs.Slice, vs.Observed = lat, slice, obs
@@ -167,7 +156,7 @@ func snapshotNode(id int, l *nodeLoop) NodeSnapshot {
 // come back up with whatever state is still valid. Call before Run.
 func (f *Fleet) Restore(s *FleetSnapshot) error {
 	if s.Version != SnapshotVersion {
-		return fmt.Errorf("daemon: snapshot version %d, want %d", s.Version, SnapshotVersion)
+		return versionError(s.Version)
 	}
 	if s.Config != f.cfg {
 		return fmt.Errorf("daemon: snapshot config %+v does not match fleet config %+v", s.Config, f.cfg)
@@ -187,17 +176,20 @@ func (f *Fleet) Restore(s *FleetSnapshot) error {
 		l.consecDrops = ns.ConsecDrops
 		l.stats = ns.Stats
 		for _, vs := range ns.VMs {
-			if vs.Known {
-				l.known[vs.ID] = vmMeta{parallel: vs.Parallel, admin: vs.Admin}
-			}
-			if vs.HasLast {
-				l.last[vs.ID] = vs.Last
-			}
-			if vs.Seq != 0 {
-				l.lastSeq[vs.ID] = vs.Seq
-			}
-			if vs.StaleRuns != 0 {
-				l.staleRuns[vs.ID] = vs.StaleRuns
+			if vs.Known || vs.HasLast || vs.Seq != 0 || vs.StaleRuns != 0 {
+				r := l.vm(vs.ID)
+				if vs.Seq != 0 {
+					r.seq = vs.Seq
+				}
+				if vs.StaleRuns != 0 {
+					r.staleRuns = vs.StaleRuns
+				}
+				if vs.Known {
+					r.known, r.parallel, r.admin = true, vs.Parallel, vs.Admin
+				}
+				if vs.HasLast {
+					r.hasLast, r.last = true, vs.Last
+				}
 			}
 			if len(vs.Lat) > 0 || len(vs.Slice) > 0 {
 				if err := l.ctl.ImportVM(vs.ID, vs.Lat, vs.Slice, vs.Observed); err != nil {

@@ -123,6 +123,28 @@ func TestSnapshotVersionMismatch(t *testing.T) {
 	}
 }
 
+// TestSnapshotDecodeReportsForeignVersion pins that DecodeSnapshot's
+// single parse still names a foreign schema version as such: a
+// well-formed version-2 document and one whose fields no longer fit
+// this schema both fail with the version error, not a field type
+// error, while a version-1 document with a mistyped field is a parse
+// error.
+func TestSnapshotDecodeReportsForeignVersion(t *testing.T) {
+	const want = "daemon: snapshot version 2, want 1"
+	for name, doc := range map[string]string{
+		"well-formed": `{"version": 2, "periods": 3, "decisions": 5, "nodes": []}`,
+		"mistyped":    `{"version": 2, "periods": "three", "nodes": {"0": {"vms": 4}}}`,
+	} {
+		if _, err := DecodeSnapshot([]byte(doc)); err == nil || err.Error() != want {
+			t.Errorf("%s version-2 document: err = %v, want %q", name, err, want)
+		}
+	}
+	_, err := DecodeSnapshot([]byte(`{"version": 1, "periods": "three", "nodes": []}`))
+	if err == nil || strings.Contains(err.Error(), "version") {
+		t.Errorf("mistyped version-1 document: err = %v, want a parse error", err)
+	}
+}
+
 // TestSnapshotRestoreUnknownNode pins restore-with-unknown-node
 // handling: entries outside the fleet's MaxNodes are skipped and
 // counted, the rest restore fine — a shrunk fleet still comes back up.
