@@ -122,7 +122,7 @@ func benchScenario(b *testing.B, cfg cluster.Config, kernel string) float64 {
 			mean += r.MeanTime()
 		}
 		lastMean = mean / float64(len(runs))
-		events += s.World.Eng.Executed()
+		events += s.World.Executed()
 	}
 	b.ReportMetric(float64(events)/float64(b.N), "events/run")
 	return lastMean
@@ -168,7 +168,7 @@ func benchTelemetry(b *testing.B, instrumented bool) {
 		if instrumented {
 			s.FinalizeTelemetry()
 		}
-		events += s.World.Eng.Executed()
+		events += s.World.Executed()
 	}
 	b.ReportMetric(float64(events)/float64(b.N), "events/run")
 	if events > 0 {

@@ -62,7 +62,7 @@ import (
 	"atcsched/internal/workload"
 )
 
-// timelineTraceCap bounds the scheduling tracer attached for -timeline.
+// timelineTraceCap bounds each node's trace ring attached for -timeline.
 const timelineTraceCap = 200000
 
 // listenReady, when set (tests), receives the bound listen address once
@@ -255,7 +255,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			rounds += r.Rounds()
 		}
 		fmt.Fprintf(stdout, "sim backend: %d application rounds completed in %v of virtual time\n",
-			rounds, sb.World.Eng.Now())
+			rounds, sb.World.Now())
 	}
 	if err := flushArtifacts(*timeline, *jsonl, plane, sb); err != nil {
 		return err

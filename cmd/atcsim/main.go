@@ -94,10 +94,8 @@ func run(args []string, stdout io.Writer) error {
 			res.Scenario.Cfg.Telemetry = plane
 			res.Scenario.World.SetTelemetry(plane)
 		}
-		var tracer *vmm.Tracer
 		if needTracer() {
-			tracer = vmm.NewTracer(*traceCap)
-			res.Scenario.World.SetTracer(tracer)
+			res.Scenario.World.SetTracer(vmm.NewTracer(*traceCap))
 		}
 		table, err := res.Run()
 		if err != nil {
@@ -111,7 +109,7 @@ func run(args []string, stdout io.Writer) error {
 			}
 		}
 		if *trace != "" {
-			return emitTrace(stdout, tracer, *trace)
+			return emitTrace(stdout, res.Scenario.World, *trace)
 		}
 		return nil
 	}
@@ -138,10 +136,8 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var tracer *vmm.Tracer
 	if needTracer() {
-		tracer = vmm.NewTracer(*traceCap)
-		s.World.SetTracer(tracer)
+		s.World.SetTracer(vmm.NewTracer(*traceCap))
 	}
 
 	prof := workload.NPB(*kernel, cls)
@@ -183,7 +179,7 @@ func run(args []string, stdout io.Writer) error {
 		wakes += n.Wakes()
 	}
 	fmt.Fprintf(stdout, "virtual time %v, context switches %d, wakes %d, packets %d, events %d (wall %v)\n",
-		s.World.Eng.Now(), ctx, wakes, s.World.Fabric.PacketsSent(), s.World.Eng.Executed(), elapsed.Round(time.Millisecond))
+		s.World.Now(), ctx, wakes, s.World.Fabric.PacketsSent(), s.World.Executed(), elapsed.Round(time.Millisecond))
 	if a, isATC := s.World.Node(0).Scheduler().(*atc.Scheduler); isATC {
 		for _, vm := range s.World.Node(0).VMs()[:min(3, len(s.World.Node(0).VMs()))] {
 			fmt.Fprintf(stdout, "node0 %s: final ATC slice %v\n", vm.Name(), a.CurrentSlice(vm))
@@ -196,7 +192,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	if *trace != "" {
-		return emitTrace(stdout, tracer, *trace)
+		return emitTrace(stdout, s.World, *trace)
 	}
 	return nil
 }
@@ -264,10 +260,10 @@ func listSchedulers(stdout io.Writer) error {
 }
 
 // emitTrace renders the collected trace per the -trace spec.
-func emitTrace(stdout io.Writer, tr *vmm.Tracer, spec string) error {
+func emitTrace(stdout io.Writer, w *vmm.World, spec string) error {
 	switch {
 	case spec == "summary":
-		fmt.Fprint(stdout, tr.Summary())
+		fmt.Fprint(stdout, w.TraceSummary())
 		return nil
 	case strings.HasPrefix(spec, "text:"):
 		f, err := os.Create(strings.TrimPrefix(spec, "text:"))
@@ -275,15 +271,14 @@ func emitTrace(stdout io.Writer, tr *vmm.Tracer, spec string) error {
 			return err
 		}
 		defer f.Close()
-		_, err = tr.WriteTo(f)
-		return err
+		return w.WriteTrace(f)
 	case strings.HasPrefix(spec, "csv:"):
 		f, err := os.Create(strings.TrimPrefix(spec, "csv:"))
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		return tr.WriteCSV(f)
+		return w.WriteTraceCSV(f)
 	default:
 		return fmt.Errorf("unknown -trace spec %q (summary | text:<file> | csv:<file>)", spec)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -53,8 +54,28 @@ func TestRunTraceSummary(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run -trace summary: %v", err)
 	}
-	if !strings.Contains(out.String(), "dispatches") {
-		t.Errorf("no trace summary in output:\n%s", out.String())
+	// The summary must carry data, not just its header: the guest VM's
+	// row with a nonzero dispatch count.
+	lines := strings.Split(out.String(), "\n")
+	header := -1
+	for i, l := range lines {
+		if strings.HasPrefix(l, "vm ") && strings.Contains(l, "dispatches") {
+			header = i
+		}
+	}
+	if header < 0 {
+		t.Fatalf("no trace summary in output:\n%s", out.String())
+	}
+	found := false
+	for _, l := range lines[header+1:] {
+		f := strings.Fields(l)
+		if len(f) == 5 && f[0] == "vc0-0" {
+			n, err := strconv.Atoi(f[1])
+			found = err == nil && n > 0
+		}
+	}
+	if !found {
+		t.Errorf("trace summary has no vc0-0 row with nonzero dispatches:\n%s", strings.Join(lines[header:], "\n"))
 	}
 }
 

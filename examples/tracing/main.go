@@ -20,8 +20,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tracer := vmm.NewTracer(500000)
-	s.World.SetTracer(tracer)
+	s.World.SetTracer(vmm.NewTracer(500000))
 
 	prof := atcsched.NPBProfile("cg", "B")
 	prof.Iterations = 10
@@ -34,12 +33,12 @@ func main() {
 
 	fmt.Println("ATC slice decisions on node 0 (time, vm, new slice):")
 	shown := 0
-	for _, r := range tracer.Records() {
+	for _, r := range s.World.TraceRecords() {
 		if r.Kind == vmm.TraceSliceChange && r.Node == 0 && shown < 12 {
 			fmt.Printf("  %s\n", r.String())
 			shown++
 		}
 	}
 	fmt.Println("\nper-VM scheduling summary:")
-	fmt.Print(tracer.Summary())
+	fmt.Print(s.World.TraceSummary())
 }

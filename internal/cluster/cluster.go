@@ -99,13 +99,11 @@ type Config struct {
 	Nodes int
 	Node  vmm.NodeConfig
 	Net   netmodel.Config
-	// Shards, when positive, runs the world on that many engine shards
+	// Shards is the number of engine shards the world runs on,
 	// synchronized at the network lookahead (Net.WireLatency must be
 	// positive); nodes are partitioned contiguously over the shards.
-	// Zero keeps the historical single-engine world. Results are
-	// byte-identical across shard counts >= 1, but the sharded
-	// fingerprint family differs from the serial one (cross-node
-	// deliveries sequence at lookahead barriers).
+	// Zero (or less) means one shard. Results are byte-identical across
+	// shard counts.
 	Shards int
 	Sched  SchedSpec
 	// NodePolicies, when non-empty, overrides Sched for specific nodes
@@ -158,8 +156,8 @@ type Scenario struct {
 
 	runs []*workload.ParallelRun
 	// pending counts measured runs that have not reached their target.
-	// Atomic because in a sharded world each run's completion callback
-	// fires on its home node's shard; every decrement still happens at
+	// Atomic because each run's completion callback fires on its home
+	// node's shard; every decrement still happens at
 	// an instant fixed by virtual time, so reaching zero — and the
 	// window-quantized Stop it triggers — is deterministic.
 	pending    atomic.Int64
@@ -191,12 +189,7 @@ func New(cfg Config) (*Scenario, error) {
 		}
 		return def
 	}
-	var w *vmm.World
-	if cfg.Shards > 0 {
-		w, err = vmm.NewShardedHeteroWorld(cfg.Nodes, cfg.Shards, cfg.Node, cfg.Net, factoryFor)
-	} else {
-		w, err = vmm.NewHeteroWorld(cfg.Nodes, cfg.Node, cfg.Net, factoryFor)
-	}
+	w, err := vmm.NewHeteroWorld(cfg.Nodes, cfg.Shards, cfg.Node, cfg.Net, factoryFor)
 	if err != nil {
 		return nil, err
 	}
@@ -324,7 +317,7 @@ func (s *Scenario) ContinueFor(d sim.Time) {
 
 // ContinueUntil resumes the world and runs in steps of `step` until done
 // reports true or `cap` more virtual time has elapsed. It returns the
-// final done() value. A measured-run completion that stops the engine
+// final done() value. A measured-run completion that stops the world
 // mid-loop is resumed — the cap, not the stop, bounds this drive.
 func (s *Scenario) ContinueUntil(done func() bool, step, cap sim.Time) bool {
 	deadline := s.World.Now() + cap
@@ -351,9 +344,9 @@ func (s *Scenario) Go(horizon sim.Time) bool {
 // auditViolationCap bounds how many violations a sick run retains.
 const auditViolationCap = 16
 
-// advance drives the engine to the target virtual time, pausing every
+// advance drives the world to the target virtual time, pausing every
 // AuditEvery to re-check World.Audit when the audit hook is enabled. A
-// stopped engine (measured-run completion) ends the advance early; the
+// stopped world (measured-run completion) ends the advance early; the
 // hook still audits the shutdown state.
 func (s *Scenario) advance(target sim.Time) {
 	every := s.Cfg.AuditEvery

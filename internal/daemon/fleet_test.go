@@ -70,13 +70,11 @@ func singleNodeBackend(t *testing.T) *SimBackend {
 	return b
 }
 
-// TestFleetSingleNodeByteIdentical pins the fold of the single-node
-// daemon into the fleet: a 1-node, 1-shard fleet makes byte-identical
-// actuations and cluster trajectory to the retired single-node Daemon,
-// whose actuation log, committed periods, executed events and final
-// clock on this cluster are recorded in the golden file. Re-pin with
-// -update only for an intended behaviour change.
-func TestFleetSingleNodeByteIdentical(t *testing.T) {
+// TestFleetSingleNodeGolden pins a 1-node, 1-shard fleet's closed loop
+// over the simulator: its actuation log, committed periods, executed
+// events and final clock on this cluster are recorded in the golden
+// file. Re-pin with -update only for an intended behaviour change.
+func TestFleetSingleNodeGolden(t *testing.T) {
 	b := singleNodeBackend(t)
 	act := &recordingFleetActuator{inner: b}
 	f := NewFleet(core.DefaultConfig(), b, act, FleetOptions{Shards: 1})
@@ -85,9 +83,9 @@ func TestFleetSingleNodeByteIdentical(t *testing.T) {
 		t.Fatalf("fleet: %v", err)
 	}
 	fmt.Fprintf(&act.log, "# periods=%d executed=%d now=%d\n",
-		f.Decisions(), b.World.Executed(), int64(b.World.Eng.Now()))
+		f.Decisions(), b.World.Executed(), int64(b.World.Now()))
 
-	golden := filepath.Join("testdata", "single_node_daemon.golden.txt")
+	golden := filepath.Join("testdata", "single_node_fleet.golden.txt")
 	if *update {
 		if err := os.WriteFile(golden, act.log.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
@@ -98,7 +96,7 @@ func TestFleetSingleNodeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := act.log.String(); got != string(want) {
-		t.Fatalf("1-node fleet diverges from the single-node daemon record:\nfleet:\n%s\ngolden:\n%s", got, want)
+		t.Fatalf("1-node fleet diverges from its golden record:\nfleet:\n%s\ngolden:\n%s", got, want)
 	}
 }
 
@@ -234,8 +232,8 @@ func TestFleetKillRestoreMidBlackout(t *testing.T) {
 	b := faultedFleetBackend(t, total)
 	f1 := NewFleet(core.DefaultConfig(), b, b, opts)
 	runFleetPeriods(t, f1, killAt)
-	if !b.plan.DaemonDown(b.World.Eng.Now()) {
-		t.Fatalf("kill point %d is not inside the blackout window (now %v)", killAt, b.World.Eng.Now())
+	if !b.plan.DaemonDown(b.World.Now()) {
+		t.Fatalf("kill point %d is not inside the blackout window (now %v)", killAt, b.World.Now())
 	}
 	snap := f1.Snapshot()
 	enc, err := snap.Encode()

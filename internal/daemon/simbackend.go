@@ -195,7 +195,7 @@ func (b *SimBackend) advance() error {
 	if err := b.applySwitches(); err != nil {
 		return err
 	}
-	b.World.RunUntil(b.World.Eng.Now() + b.period)
+	b.World.RunUntil(b.World.Now() + b.period)
 	return nil
 }
 
@@ -279,7 +279,7 @@ func (b *SimBackend) SampleFleet() ([]NodeBatch, error) {
 	if err := b.advance(); err != nil {
 		return nil, err
 	}
-	if b.plan.DaemonDown(b.World.Eng.Now()) {
+	if b.plan.DaemonDown(b.World.Now()) {
 		b.plan.CountDarkPeriod()
 		return nil, nil
 	}
@@ -304,7 +304,7 @@ func (b *SimBackend) SampleFleet() ([]NodeBatch, error) {
 func (b *SimBackend) failActuation() error {
 	b.actMu.Lock()
 	defer b.actMu.Unlock()
-	return b.plan.FailActuation(b.World.Eng.Now())
+	return b.plan.FailActuation(b.World.Now())
 }
 
 // ApplyNode implements FleetActuator: write one node's slices into its
@@ -345,7 +345,7 @@ func (b *SimBackend) NodePolicies() []string {
 func (b *SimBackend) Hollow() bool { return b.hollow }
 
 // Now exposes the embedded world's virtual clock (telemetry axis).
-func (b *SimBackend) Now() sim.Time { return b.World.Eng.Now() }
+func (b *SimBackend) Now() sim.Time { return b.World.Now() }
 
 var (
 	_ FleetSource   = (*SimBackend)(nil)

@@ -33,14 +33,12 @@ var dfrsKinds = []cluster.Approach{cluster.CR, cluster.ATC, cluster.DFRS, cluste
 type dfrsScenario struct {
 	name    string
 	faulted bool // inject the faults experiment's straggler + packet loss
-	shards  int  // run on a sharded engine (0: serial)
 	flip    bool // start under CR and live-switch to the cell's kind
 }
 
 var dfrsScenarios = []dfrsScenario{
 	{name: "baseline"},
 	{name: "faulted", faulted: true},
-	{name: "sharded", shards: 2},
 	{name: "switch", flip: true},
 }
 
@@ -79,7 +77,6 @@ func dfrsRunCell(sc Scale, seed uint64, scen dfrsScenario, kind cluster.Approach
 	}
 	cfg := cluster.DefaultConfig(nodes, start)
 	cfg.Seed = seed
-	cfg.Shards = scen.shards
 	if scen.faulted {
 		cfg.Faults = faultSpec()
 	}
@@ -147,9 +144,9 @@ func dfrsRunCell(sc Scale, seed uint64, scen dfrsScenario, kind cluster.Approach
 	return cell, nil
 }
 
-// dfrsShardCounts are the engine configurations the determinism table
-// fingerprints: the serial engine plus the sharded family.
-var dfrsShardCounts = []int{0, 1, 2, 4, 8}
+// dfrsShardCounts are the shard counts the determinism table
+// fingerprints.
+var dfrsShardCounts = []int{1, 2, 4, 8}
 
 // dfrsFingerprint runs a short measured scenario under kind on the given
 // shard count with the scheduling tracer attached and returns the 64-bit
@@ -165,8 +162,7 @@ func dfrsFingerprint(sc Scale, seed uint64, kind cluster.Approach, shards int) (
 	if err != nil {
 		return "", err
 	}
-	tracer := vmm.NewTracer(timelineTraceCap)
-	s.World.SetTracer(tracer)
+	s.World.SetTracer(vmm.NewTracer(timelineTraceCap))
 	prof := workload.NPB("lu", workload.ClassA)
 	prof.Iterations = iterCount(prof.Iterations, sc.IterScale)
 	vms := s.VirtualCluster("vc0", nodes, 2, nil)
@@ -202,10 +198,11 @@ func dfrsFingerprint(sc Scale, seed uint64, kind cluster.Approach, shards int) (
 	return fmt.Sprintf("%016x", h.Sum64()), nil
 }
 
-// dfrsShowcaseTraceCap keeps the showcase's scheduling trace — and with
-// it the exported timeline artifact — small enough to commit as a golden
-// file; overflow shows up only as the drop counter.
-const dfrsShowcaseTraceCap = 2000
+// dfrsShowcaseTraceCap bounds each node's trace ring so the showcase's
+// scheduling trace — and with it the exported timeline artifact — stays
+// small enough to commit as a golden file; overflow shows up only as the
+// drop counter.
+const dfrsShowcaseTraceCap = 1000
 
 // DFRSShowcase runs a short instrumented hybrid run — the fractional
 // plane redistributing around live parallel load — with the telemetry
@@ -245,7 +242,7 @@ func init() {
 	register(Experiment{
 		ID: "dfrs",
 		Title: "Extension — fractional-share head-to-head: CR vs ATC vs DFRS vs " +
-			"ATC×DFRS across baseline, faulted, sharded and live-switch scenarios",
+			"ATC×DFRS across baseline, faulted and live-switch scenarios",
 		Run: func(sc Scale, seed uint64) ([]*report.Table, error) {
 			t := report.New(
 				"spin latency, parallel throughput and CPU-time fairness per (scenario, policy) cell",
@@ -273,8 +270,8 @@ func init() {
 				"ATC's adaptive slices for parallel tenants on top.")
 
 			ft := report.New(
-				"determinism fingerprints (FNV-1a 64) of a traced DFRS-family run per engine configuration",
-				"Policy", "serial", "shards=1", "shards=2", "shards=4", "shards=8")
+				"determinism fingerprints (FNV-1a 64) of a traced DFRS-family run per shard count",
+				"Policy", "shards=1", "shards=2", "shards=4", "shards=8")
 			for _, kind := range []cluster.Approach{cluster.DFRS, cluster.ATCDFRS} {
 				kind := kind
 				hashes, err := runner.Map(len(dfrsShardCounts), func(i int) (string, error) {
@@ -283,17 +280,15 @@ func init() {
 				if err != nil {
 					return nil, err
 				}
-				for i := 2; i < len(hashes); i++ {
-					if hashes[i] != hashes[1] {
-						return nil, fmt.Errorf("dfrs: %s fingerprint diverged: shards=%d %s vs shards=1 %s",
-							kind, dfrsShardCounts[i], hashes[i], hashes[1])
+				for i := 1; i < len(hashes); i++ {
+					if hashes[i] != hashes[0] {
+						return nil, fmt.Errorf("dfrs: %s fingerprint diverged: shards=%d %s vs shards=%d %s",
+							kind, dfrsShardCounts[i], hashes[i], dfrsShardCounts[0], hashes[0])
 					}
 				}
 				ft.Add(append([]string{string(kind)}, hashes...)...)
 			}
-			ft.AddNote("shards>=1 must be byte-identical (enforced; a mismatch fails the experiment); " +
-				"the serial engine is a separate fingerprint family — cross-node deliveries sequence " +
-				"at lookahead barriers (see DESIGN.md).")
+			ft.AddNote("every shard count must be byte-identical (enforced; a mismatch fails the experiment).")
 			return []*report.Table{t, ft}, nil
 		},
 	})

@@ -46,7 +46,7 @@ func TestDFRSGoldenTable(t *testing.T) {
 		t.Skip("runs the full small-scale head-to-head matrix")
 	}
 	if raceEnabled {
-		t.Skip("deterministic byte-compare; the sharded cell crawls under the race detector")
+		t.Skip("deterministic byte-compare; the multi-shard fingerprint runs crawl under the race detector")
 	}
 	e, err := ByID("dfrs")
 	if err != nil {

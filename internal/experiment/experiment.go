@@ -108,8 +108,8 @@ type Experiment struct {
 	Title string
 	// Bench marks a wall-clock benchmark: its tables carry host timing
 	// (not deterministic per (scale, seed)) and may append to a BENCH
-	// trajectory file. `-all` skips bench experiments — the serial vs
-	// parallel byte-diff must stay empty — so they run only by
+	// trajectory file. `-all` skips bench experiments — the
+	// -parallel 1 vs N byte-diff must stay empty — so they run only by
 	// explicit `-exp` selection.
 	Bench bool
 	// Run produces the experiment's tables.

@@ -20,9 +20,10 @@ import (
 // carries one single-VCPU VM running a light ring-exchange BSP kernel, so
 // the harness measures the simulation core itself — event dispatch,
 // fabric delivery, shard synchronization — rather than scheduler policy.
-// Every node ladder is swept at several shard counts, with shards=0 (the
-// historical serial engine) as the baseline, and the measured events/s
-// and wall-clock appended to BENCH_scale.json.
+// Every node ladder is swept at several shard counts, with one shard as
+// the baseline, and the measured events/s and wall-clock appended to
+// BENCH_scale.json. (Runs recorded before the serial engine was retired
+// also carry shards=0 cells: that engine's baseline.)
 
 // benchScalePath is where the sweep appends its measurements; a package
 // variable so tests can redirect it.
@@ -33,16 +34,15 @@ var benchScalePath = "BENCH_scale.json"
 const scaleSimTime = 100 * sim.Millisecond
 
 // scaleLadder returns the hollow-node counts and shard sets for a scale.
-// Shard count 0 is the serial engine (the baseline each sharded cell is
-// compared against).
+// The first shard count is the baseline the others are compared against.
 func scaleLadder(sc Scale) (nodes []int, shards []int) {
 	switch sc.Name {
 	case "small":
-		return []int{32, 64}, []int{0, 1, 2}
+		return []int{32, 64}, []int{1, 2}
 	case "medium":
-		return []int{32, 128, 512, 1024}, []int{0, 1, 2, 4, 8}
+		return []int{32, 128, 512, 1024}, []int{1, 2, 4, 8}
 	default: // full
-		return []int{32, 128, 512, 1024, 2048, 4096}, []int{0, 1, 2, 4, 8}
+		return []int{32, 128, 512, 1024, 2048, 4096}, []int{1, 2, 4, 8}
 	}
 }
 
@@ -75,7 +75,7 @@ func hollowProfile() workload.AppProfile {
 // BENCH_scale.json.
 type scaleCell struct {
 	Nodes     int     `json:"nodes"`
-	Shards    int     `json:"shards"` // 0 = serial engine baseline
+	Shards    int     `json:"shards"` // 0 in old runs: the retired serial engine
 	Events    uint64  `json:"events"`
 	WallS     float64 `json:"wall_s"`
 	EventsPS  float64 `json:"events_per_s"`
@@ -185,14 +185,14 @@ func init() {
 	register(Experiment{
 		ID: "scale",
 		Title: "Extension — hollow-node scale sweep: simulator events/s and " +
-			"wall-clock, 32 to 4096 nodes, serial engine vs 1/2/4/8 shards",
+			"wall-clock, 32 to 4096 nodes, 1/2/4/8 shards",
 		Bench: true,
 		Run: func(sc Scale, seed uint64) ([]*report.Table, error) {
 			nodeSteps, shardSteps := scaleLadder(sc)
 			t := report.New(
 				fmt.Sprintf("Scale sweep (%s): %v nodes x shards %v, %v virtual time per cell",
 					sc.Name, nodeSteps, shardSteps, scaleSimTime),
-				"nodes", "shards", "events", "wall (s)", "events/s", "vs serial", "heap MB", "peak RSS MB")
+				"nodes", "shards", "events", "wall (s)", "events/s", "vs 1 shard", "heap MB", "peak RSS MB")
 			run := scaleRun{
 				Date:  time.Now().Format("2006-01-02"),
 				Go:    runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH,
@@ -201,32 +201,31 @@ func init() {
 				Seed:  seed,
 			}
 			for _, n := range nodeSteps {
-				var serialPS float64
+				var basePS float64
 				for _, shards := range shardSteps {
 					cell, err := runScaleCell(n, shards, seed)
 					if err != nil {
 						return nil, fmt.Errorf("scale: nodes=%d shards=%d: %w", n, shards, err)
 					}
 					run.Cells = append(run.Cells, cell)
-					vsSerial := "baseline"
-					if shards == 0 {
-						serialPS = cell.EventsPS
-					} else if serialPS > 0 {
-						vsSerial = fmt.Sprintf("%.2fx", cell.EventsPS/serialPS)
+					vsBase := "baseline"
+					if shards == shardSteps[0] {
+						basePS = cell.EventsPS
+					} else if basePS > 0 {
+						vsBase = fmt.Sprintf("%.2fx", cell.EventsPS/basePS)
 					}
 					t.Add(strconv.Itoa(n), strconv.Itoa(shards),
 						strconv.FormatUint(cell.Events, 10),
 						fmt.Sprintf("%.3f", cell.WallS),
 						fmt.Sprintf("%.0f", cell.EventsPS),
-						vsSerial,
+						vsBase,
 						fmt.Sprintf("%.1f", cell.HeapMB),
 						fmt.Sprintf("%.1f", cell.PeakRSSMB))
 				}
 			}
-			t.AddNote("shards=0 is the historical serial engine; shards>=1 is the sharded core "+
-				"(lookahead %v). Host has %d core(s): with one core the sharded rows can only "+
-				"match the serial baseline (goroutines serialize), the >=1.0x-at->=1024-nodes "+
-				"speedup criterion applies on multi-core hosts.",
+			t.AddNote("shards synchronize at the network lookahead (%v). Host has %d core(s): "+
+				"with one core the multi-shard rows can only match the one-shard baseline "+
+				"(goroutines serialize); shard speedups need multiple cores.",
 				cluster.DefaultConfig(2, cluster.CR).Net.WireLatency, runtime.NumCPU())
 			t.AddNote("peak RSS (VmHWM) is monotone across cells; per-cell attribution is the heap column.")
 			if err := appendBenchScale(run); err != nil {

@@ -74,12 +74,12 @@ func init() {
 			s.GoFor(switchWindow)
 			mean := watch.delta(s.World)
 			pre = append(pre, mean.Seconds())
-			t.Add("1", fmt.Sprintf("%v", s.World.Eng.Now()), "CR", mean.String())
+			t.Add("1", fmt.Sprintf("%v", s.World.Now()), "CR", mean.String())
 			for w := 2; w <= preWindows; w++ {
 				s.ContinueFor(switchWindow)
 				mean = watch.delta(s.World)
 				pre = append(pre, mean.Seconds())
-				t.Add(fmt.Sprint(w), fmt.Sprintf("%v", s.World.Eng.Now()), "CR", mean.String())
+				t.Add(fmt.Sprint(w), fmt.Sprintf("%v", s.World.Now()), "CR", mean.String())
 			}
 
 			// The live flip: every node swaps to ATC at its next period
@@ -98,7 +98,7 @@ func init() {
 				s.ContinueFor(switchWindow)
 				mean = watch.delta(s.World)
 				post = append(post, mean.Seconds())
-				t.Add(fmt.Sprint(preWindows+w), fmt.Sprintf("%v", s.World.Eng.Now()),
+				t.Add(fmt.Sprint(preWindows+w), fmt.Sprintf("%v", s.World.Now()),
 					s.World.Node(0).Scheduler().Name(), mean.String())
 			}
 			for _, n := range s.World.Nodes() {

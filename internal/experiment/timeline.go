@@ -10,7 +10,7 @@ import (
 	"atcsched/internal/workload"
 )
 
-// timelineTraceCap bounds the scheduling tracer behind the timeline
+// timelineTraceCap bounds each node's trace ring behind the timeline
 // export; the showcase run is a few virtual seconds, well inside it.
 const timelineTraceCap = 500000
 

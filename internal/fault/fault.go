@@ -6,8 +6,9 @@
 // (packet loss, bandwidth degradation), a flaky monitoring path (sample
 // dropouts, additive noise, stale readings) and a failing actuator —
 // without touching the mechanisms under test. Every fault draw comes
-// from one explicitly seeded stream, so identical (seed, spec) pairs
-// produce byte-identical fault schedules and reports.
+// from streams derived from one explicit seed (one per node, plus one
+// for the control plane), so identical (seed, spec) pairs produce
+// byte-identical fault schedules and reports.
 //
 // A Spec is pure data (JSON-serializable, used by scenario files and the
 // property-test generator); Compile turns it into a Plan bound to a

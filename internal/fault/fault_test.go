@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"atcsched/internal/sched/credit"
 	"atcsched/internal/sim"
+	"atcsched/internal/vmmtest"
 )
 
 func win(k Kind) Window { return Window{Kind: k, StartSec: 1, DurSec: 2} }
@@ -190,6 +192,10 @@ func TestProbabilisticHooksDeterministic(t *testing.T) {
 	run := func() (string, Report) {
 		p, err := Compile(spec, 42)
 		if err != nil {
+			t.Fatal(err)
+		}
+		// The loss hook draws from per-node streams sized by Attach.
+		if err := p.Attach(vmmtest.World(2, 1, credit.Factory(credit.DefaultOptions()))); err != nil {
 			t.Fatal(err)
 		}
 		var b strings.Builder

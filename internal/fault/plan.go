@@ -21,17 +21,17 @@ const faultStream = 0xfa017
 type Plan struct {
 	seed    uint64
 	windows []window
-	src     *rng.Source
-	rep     Report
+	// src and rep serve the control-plane hooks (FailActuation, the
+	// daemon's dark-period count), which run between simulation steps.
+	src *rng.Source
+	rep Report
 
-	// nodeSrc/nodeRep partition the draw-consuming hooks by node when
-	// the plan is attached to a sharded world: hooks fire concurrently
-	// from different shards there, and a shared rng stream would make
-	// draw order depend on wall-clock interleaving. Each node draws from
-	// its own derived stream and tallies into its own report, which is a
-	// pure function of that node's virtual timeline — so the summed
-	// Report is byte-identical at every shard count. Nil in serial mode
-	// (where the shared stream keeps historical fingerprints intact).
+	// nodeSrc/nodeRep partition the simulation hooks by node: hooks fire
+	// concurrently from different shards, and a shared rng stream would
+	// make draw order depend on wall-clock interleaving. Each node draws
+	// from its own derived stream and tallies into its own report, which
+	// is a pure function of that node's virtual timeline — so the summed
+	// Report is byte-identical at every shard count. Attach sizes them.
 	nodeSrc []*rng.Source
 	nodeRep []Report
 }
@@ -99,13 +99,11 @@ func (p *Plan) Attach(w *vmm.World) error {
 	}
 	var slow, net, bw, mon bool
 	nodes := w.Fabric.Nodes()
-	if w.Sharded() {
-		p.nodeSrc = make([]*rng.Source, nodes)
-		for i := range p.nodeSrc {
-			p.nodeSrc[i] = rng.NewStream(p.seed, faultStream+1+uint64(i))
-		}
-		p.nodeRep = make([]Report, nodes)
+	p.nodeSrc = make([]*rng.Source, nodes)
+	for i := range p.nodeSrc {
+		p.nodeSrc[i] = rng.NewStream(p.seed, faultStream+1+uint64(i))
 	}
+	p.nodeRep = make([]Report, nodes)
 	for _, win := range p.windows {
 		for n := range win.nodes {
 			if n >= nodes {
@@ -139,8 +137,8 @@ func (p *Plan) Attach(w *vmm.World) error {
 }
 
 // Report returns a snapshot of the injection tallies (summed over the
-// per-node partitions in sharded mode; call it at a barrier, e.g. after
-// RunUntil returns).
+// per-node partitions; call it at a barrier, e.g. after RunUntil
+// returns).
 func (p *Plan) Report() Report {
 	if p == nil {
 		return Report{}
@@ -214,16 +212,6 @@ func (p *Plan) PublishTelemetry(reg *telemetry.Registry) {
 	}
 }
 
-// drawFor returns the rng stream and report the hook for node should
-// use: the node's own partition in sharded mode, the shared ones
-// otherwise.
-func (p *Plan) drawFor(node int) (*rng.Source, *Report) {
-	if p.nodeSrc != nil {
-		return p.nodeSrc[node], &p.nodeRep[node]
-	}
-	return p.src, &p.rep
-}
-
 // slowdown is the vmm compute-path hook: the strongest slow/freeze
 // factor covering the node right now (1 = full speed).
 func (p *Plan) slowdown(node int, now sim.Time) float64 {
@@ -247,11 +235,10 @@ func (p *Plan) lose(src, dst int, now sim.Time) bool {
 			prob = w.severity
 		}
 	}
-	draw, rep := p.drawFor(src)
-	if prob <= 0 || draw.Float64() >= prob {
+	if prob <= 0 || p.nodeSrc[src].Float64() >= prob {
 		return false
 	}
-	rep.PacketsLost++
+	p.nodeRep[src].PacketsLost++
 	return true
 }
 
@@ -273,7 +260,8 @@ func (p *Plan) bandwidth(node int, now sim.Time) float64 {
 // noise. Drop wins over stale wins over noise when windows overlap.
 func (p *Plan) monitorTap(vm *vmm.VM) vmm.MonitorVerdict {
 	now := vm.Node().Engine().Now()
-	draw, rep := p.drawFor(vm.Node().ID())
+	node := vm.Node().ID()
+	draw, rep := p.nodeSrc[node], &p.nodeRep[node]
 	var v vmm.MonitorVerdict
 	for i := range p.windows {
 		w := &p.windows[i]

@@ -23,9 +23,9 @@ func auditEvery(t *testing.T, s *cluster.Scenario, horizon, step sim.Time) {
 	for now := step; now <= horizon; now += step {
 		s.World.RunUntil(now)
 		if errs := s.World.Audit(); len(errs) > 0 {
-			t.Fatalf("audit at %v: %v (and %d more)", s.World.Eng.Now(), errs[0], len(errs)-1)
+			t.Fatalf("audit at %v: %v (and %d more)", s.World.Now(), errs[0], len(errs)-1)
 		}
-		if s.World.Eng.Stopped() {
+		if s.World.Stopped() {
 			break
 		}
 	}
@@ -140,7 +140,7 @@ func TestDeterminismAcrossFullStack(t *testing.T) {
 			t.Fatal("horizon exceeded")
 		}
 		return fmt.Sprintf("%v|%d|%d|%d",
-			run.Times(), s.World.Eng.Executed(),
+			run.Times(), s.World.Executed(),
 			s.World.Fabric.PacketsSent(), s.World.Node(0).CtxSwitches())
 	}
 	a, b := fingerprint(), fingerprint()
@@ -153,18 +153,17 @@ func TestTracerUnderFullLoad(t *testing.T) {
 	cfg := cluster.DefaultConfig(2, cluster.CS)
 	cfg.Node.PCPUs = 4
 	s := cluster.MustNew(cfg)
-	tr := vmm.NewTracer(50000)
-	s.World.SetTracer(tr)
+	s.World.SetTracer(vmm.NewTracer(50000))
 	prof := workload.NPB("lu", workload.ClassA)
 	prof.Iterations = 6
 	s.RunParallel(prof, s.VirtualCluster("vc", 2, 4, nil), 2, false)
 	if !s.Go(120 * sim.Second) {
 		t.Fatal("horizon exceeded")
 	}
-	if tr.Len() == 0 {
+	recs := s.World.TraceRecords()
+	if len(recs) == 0 {
 		t.Fatal("no trace records under load")
 	}
-	recs := tr.Records()
 	for i := 1; i < len(recs); i++ {
 		if recs[i].At < recs[i-1].At {
 			t.Fatal("trace out of order")

@@ -7,10 +7,10 @@
 //
 // The fabric is also the sharding boundary of the simulator: nodes only
 // influence each other through wire transmissions, and every wire
-// transmission takes at least WireLatency to arrive. A sharded fabric
-// (NewSharded) therefore hands cross-node deliveries to a PostFunc — in
-// practice sim.ShardGroup.Post — which sequences them deterministically
-// at the lookahead barrier instead of scheduling straight into the
+// transmission takes at least WireLatency to arrive. The fabric
+// therefore hands cross-node deliveries to a PostFunc — in practice
+// sim.ShardGroup.Post — which sequences them deterministically at the
+// lookahead barrier instead of scheduling straight into the
 // destination's engine.
 package netmodel
 
@@ -56,14 +56,14 @@ type PostFunc func(src, dst int, at sim.Time, fn func())
 
 // Fabric is the cluster interconnect.
 //
-// State is partitioned by node so that a sharded fabric needs no locks:
+// State is partitioned by node so that the fabric needs no locks:
 // tx/lo and the *By counters indexed by src are only touched from the
 // source node's shard, rx and deliveredBy (indexed by dst) only from the
 // destination's. The summing getters are meant for barrier time (or any
 // single-threaded moment); the per-element writes themselves never race.
 type Fabric struct {
-	engines []*sim.Engine // per-node engine (all identical in serial mode)
-	post    PostFunc      // nil in serial mode
+	engines []*sim.Engine // per-node engine (shared by a shard's nodes)
+	post    PostFunc
 	cfg     Config
 	tx      []sim.Time // per-node NIC transmit-free time (src shard)
 	rx      []sim.Time // per-node NIC receive-free time (dst shard)
@@ -81,48 +81,33 @@ type Fabric struct {
 	// RetransmitTimeout). bwFn, when set, scales a node's NIC line rate
 	// by the returned fraction in (0,1]; values outside that range mean
 	// full rate. Both must be deterministic in their arguments plus any
-	// explicitly seeded state (see internal/fault), and in a sharded
-	// fabric they are called concurrently from different shards, so any
-	// such state must be partitioned by the src/node argument.
+	// explicitly seeded state (see internal/fault), and they are called
+	// concurrently from different shards, so any such state must be
+	// partitioned by the src/node argument.
 	lossFn func(src, dst int, now sim.Time) bool
 	bwFn   func(node int, now sim.Time) float64
 }
 
-// New creates a serial fabric connecting `nodes` nodes on one engine.
-func New(eng *sim.Engine, nodes int, cfg Config) *Fabric {
-	if nodes <= 0 {
-		panic("netmodel: need at least one node")
-	}
-	engines := make([]*sim.Engine, nodes)
-	for i := range engines {
-		engines[i] = eng
-	}
-	return newFabric(engines, cfg, nil)
-}
-
-// NewSharded creates a fabric over per-node engines whose cross-node
-// deliveries are sequenced through post. WireLatency must be positive:
-// it is the conservative lookahead that makes the sharding sound.
-func NewSharded(engines []*sim.Engine, cfg Config, post PostFunc) *Fabric {
+// New creates a fabric over per-node engines (nodes sharing a shard
+// share its engine) whose cross-node deliveries are sequenced through
+// post. WireLatency must be positive: it is the conservative lookahead
+// that makes the sharding sound.
+func New(engines []*sim.Engine, cfg Config, post PostFunc) *Fabric {
 	if len(engines) == 0 {
 		panic("netmodel: need at least one node")
 	}
 	if post == nil {
-		panic("netmodel: sharded fabric needs a post function")
+		panic("netmodel: fabric needs a post function")
 	}
 	if cfg.WireLatency <= 0 {
-		panic(fmt.Sprintf("netmodel: sharded fabric needs a positive wire latency, got %v", cfg.WireLatency))
+		panic(fmt.Sprintf("netmodel: fabric needs a positive wire latency, got %v", cfg.WireLatency))
 	}
-	return newFabric(append([]*sim.Engine(nil), engines...), cfg, post)
-}
-
-func newFabric(engines []*sim.Engine, cfg Config, post PostFunc) *Fabric {
 	if cfg.BytesPerSec <= 0 {
 		panic(fmt.Sprintf("netmodel: invalid bandwidth %v", cfg.BytesPerSec))
 	}
 	nodes := len(engines)
 	return &Fabric{
-		engines:     engines,
+		engines:     append([]*sim.Engine(nil), engines...),
 		post:        post,
 		cfg:         cfg,
 		tx:          make([]sim.Time, nodes),
@@ -245,31 +230,21 @@ func (f *Fabric) transmit(src, dst, size int, wrapped func()) {
 		})
 		return
 	}
+	// The receiver-side NIC booking must read dst's state at arrival
+	// time on dst's own shard. arrive >= now + WireLatency, so the post
+	// always clears the lookahead window by construction.
 	arrive := txDone + f.cfg.WireLatency
-	if f.post != nil {
-		// Sharded: the receiver-side NIC booking must read dst's state at
-		// arrival time on dst's own shard. arrive >= now + WireLatency, so
-		// the post always clears the lookahead window by construction.
-		f.post(src, dst, arrive, func() {
-			f.arriveAt(dst, size, wrapped)
-		})
-		return
-	}
-	// Receiver-side serialization: the packet occupies dst's NIC for its
-	// own serialization time. An idle receiver sees the pipelined
-	// arrival (last byte lands WireLatency after it left the sender),
-	// but N senders converging on one NIC drain at line rate, not N×it.
-	rxDone := arrive
-	if t := f.rx[dst] + f.serialTime(size, dst, now); t > rxDone {
-		rxDone = t
-	}
-	f.rx[dst] = rxDone
-	f.engines[src].At(rxDone, wrapped)
+	f.post(src, dst, arrive, func() {
+		f.arriveAt(dst, size, wrapped)
+	})
 }
 
 // arriveAt books the receiver-side NIC occupancy for a packet whose last
 // byte reaches dst at the current time on dst's engine, then schedules
-// the delivery. Sharded-mode only: runs on dst's shard.
+// the delivery. Runs on dst's shard. An idle receiver sees the
+// pipelined arrival (last byte lands WireLatency after it left the
+// sender), but N senders converging on one NIC drain at line rate, not
+// N× it.
 func (f *Fabric) arriveAt(dst, size int, wrapped func()) {
 	now := f.engines[dst].Now()
 	rxDone := now

@@ -7,12 +7,36 @@ import (
 	"atcsched/internal/sim"
 )
 
+// wire is the wire latency of the tests that are about serialization
+// rather than propagation: small, but positive as the lookahead needs.
+const wire = sim.Microsecond
+
+// testNet is a fabric over a one-shard group, wired the way vmm wires
+// a world.
+type testNet struct {
+	*Fabric
+	g   *sim.ShardGroup
+	eng *sim.Engine
+}
+
+func newTestNet(nodes int, cfg Config) *testNet {
+	g := sim.NewShardGroup(1, cfg.WireLatency)
+	engines := make([]*sim.Engine, nodes)
+	for i := range engines {
+		engines[i] = g.Engine(0)
+		g.AssignSource(i, 0)
+	}
+	return &testNet{Fabric: New(engines, cfg, g.Post), g: g, eng: g.Engine(0)}
+}
+
+// run drains every delivery (the tests' traffic settles within 1 s).
+func (n *testNet) run() { n.g.RunUntil(sim.Second) }
+
 func TestLocalDelivery(t *testing.T) {
-	eng := sim.New()
-	f := New(eng, 2, DefaultConfig())
+	f := newTestNet(2, DefaultConfig())
 	var at sim.Time
-	f.Send(0, 0, 1500, func() { at = eng.Now() })
-	eng.Run()
+	f.Send(0, 0, 1500, func() { at = f.eng.Now() })
+	f.run()
 	if at != DefaultConfig().LocalLatency {
 		t.Errorf("local delivery at %v, want %v", at, DefaultConfig().LocalLatency)
 	}
@@ -25,13 +49,12 @@ func TestLocalDelivery(t *testing.T) {
 }
 
 func TestRemoteDeliveryTiming(t *testing.T) {
-	eng := sim.New()
 	cfg := Config{BytesPerSec: 125e6, WireLatency: 50 * sim.Microsecond, LocalLatency: sim.Microsecond}
-	f := New(eng, 2, cfg)
+	f := newTestNet(2, cfg)
 	var at sim.Time
 	size := 125000 // exactly 1 ms of serialization at 125 MB/s
-	f.Send(0, 1, size, func() { at = eng.Now() })
-	eng.Run()
+	f.Send(0, 1, size, func() { at = f.eng.Now() })
+	f.run()
 	want := sim.Millisecond + 50*sim.Microsecond
 	if at != want {
 		t.Errorf("delivery at %v, want %v", at, want)
@@ -42,44 +65,41 @@ func TestRemoteDeliveryTiming(t *testing.T) {
 }
 
 func TestTxSerialization(t *testing.T) {
-	eng := sim.New()
-	cfg := Config{BytesPerSec: 125e6, WireLatency: 0, LocalLatency: 0}
-	f := New(eng, 3, cfg)
+	cfg := Config{BytesPerSec: 125e6, WireLatency: wire, LocalLatency: 0}
+	f := newTestNet(3, cfg)
 	var first, second sim.Time
 	// Two back-to-back sends from node 0 must serialize on its NIC.
-	f.Send(0, 1, 125000, func() { first = eng.Now() })
-	f.Send(0, 2, 125000, func() { second = eng.Now() })
-	eng.Run()
-	if first != sim.Millisecond {
+	f.Send(0, 1, 125000, func() { first = f.eng.Now() })
+	f.Send(0, 2, 125000, func() { second = f.eng.Now() })
+	f.run()
+	if first != sim.Millisecond+wire {
 		t.Errorf("first = %v", first)
 	}
-	if second != 2*sim.Millisecond {
+	if second != 2*sim.Millisecond+wire {
 		t.Errorf("second = %v, want serialized 2ms", second)
 	}
 }
 
 func TestIndependentSendersDoNotSerialize(t *testing.T) {
-	eng := sim.New()
-	cfg := Config{BytesPerSec: 125e6, WireLatency: 0, LocalLatency: 0}
-	f := New(eng, 4, cfg)
+	cfg := Config{BytesPerSec: 125e6, WireLatency: wire, LocalLatency: 0}
+	f := newTestNet(4, cfg)
 	var a, b sim.Time
-	f.Send(0, 2, 125000, func() { a = eng.Now() })
-	f.Send(1, 3, 125000, func() { b = eng.Now() })
-	eng.Run()
-	if a != sim.Millisecond || b != sim.Millisecond {
+	f.Send(0, 2, 125000, func() { a = f.eng.Now() })
+	f.Send(1, 3, 125000, func() { b = f.eng.Now() })
+	f.run()
+	if a != sim.Millisecond+wire || b != sim.Millisecond+wire {
 		t.Errorf("a=%v b=%v, want both 1ms (no cross-sender serialization)", a, b)
 	}
 }
 
 func TestDeliveryOrderPreservedPerPair(t *testing.T) {
-	eng := sim.New()
-	f := New(eng, 2, DefaultConfig())
+	f := newTestNet(2, DefaultConfig())
 	var got []int
 	for i := 0; i < 5; i++ {
 		i := i
 		f.Send(0, 1, 1500, func() { got = append(got, i) })
 	}
-	eng.Run()
+	f.run()
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("deliveries out of order: %v", got)
@@ -88,26 +108,28 @@ func TestDeliveryOrderPreservedPerPair(t *testing.T) {
 }
 
 func TestZeroSizePacket(t *testing.T) {
-	eng := sim.New()
 	cfg := Config{BytesPerSec: 125e6, WireLatency: 10 * sim.Microsecond, LocalLatency: 0}
-	f := New(eng, 2, cfg)
+	f := newTestNet(2, cfg)
 	var at sim.Time
-	f.Send(0, 1, 0, func() { at = eng.Now() })
-	eng.Run()
+	f.Send(0, 1, 0, func() { at = f.eng.Now() })
+	f.run()
 	if at != 10*sim.Microsecond {
 		t.Errorf("zero-size delivery at %v", at)
 	}
 }
 
 func TestPanicsOnBadInput(t *testing.T) {
-	eng := sim.New()
-	f := New(eng, 2, DefaultConfig())
+	f := newTestNet(2, DefaultConfig())
+	engines := []*sim.Engine{f.eng}
+	post := func(src, dst int, at sim.Time, fn func()) {}
 	cases := map[string]func(){
 		"src range":     func() { f.Send(-1, 0, 1, func() {}) },
 		"dst range":     func() { f.Send(0, 5, 1, func() {}) },
 		"negative size": func() { f.Send(0, 1, -1, func() {}) },
-		"zero nodes":    func() { New(eng, 0, DefaultConfig()) },
-		"zero bw":       func() { New(eng, 1, Config{}) },
+		"zero nodes":    func() { New(nil, DefaultConfig(), post) },
+		"zero bw":       func() { New(engines, Config{WireLatency: wire}, post) },
+		"zero wire":     func() { New(engines, Config{BytesPerSec: 125e6}, post) },
+		"nil post":      func() { New(engines, DefaultConfig(), nil) },
 	}
 	for name, fn := range cases {
 		fn := fn
@@ -123,7 +145,7 @@ func TestPanicsOnBadInput(t *testing.T) {
 }
 
 func TestNodes(t *testing.T) {
-	f := New(sim.New(), 7, DefaultConfig())
+	f := newTestNet(7, DefaultConfig())
 	if f.Nodes() != 7 {
 		t.Errorf("Nodes = %d", f.Nodes())
 	}
@@ -139,8 +161,7 @@ func TestFabricConservationProperty(t *testing.T) {
 		Delay    uint16
 	}
 	check := func(msgs []msg) bool {
-		eng := sim.New()
-		f := New(eng, 4, DefaultConfig())
+		f := newTestNet(4, DefaultConfig())
 		type key struct{ s, d int }
 		nextSend := map[key]int{}
 		lastDelivered := map[key]int{}
@@ -149,7 +170,7 @@ func TestFabricConservationProperty(t *testing.T) {
 			src, dst := int(m.Src)%4, int(m.Dst)%4
 			k := key{src, dst}
 			size := int(m.Size)
-			eng.Schedule(sim.Time(m.Delay)*sim.Microsecond, func() {
+			f.eng.Schedule(sim.Time(m.Delay)*sim.Microsecond, func() {
 				seq := nextSend[k] // order at actual send time
 				nextSend[k]++
 				f.Send(src, dst, size, func() {
@@ -160,7 +181,7 @@ func TestFabricConservationProperty(t *testing.T) {
 				})
 			})
 		}
-		eng.Run()
+		f.run()
 		return okOrder && f.InFlight() == 0 && f.PacketsDelivered() == uint64(len(msgs))
 	}
 	f := func(msgs []msg) bool { return check(msgs) }

@@ -90,10 +90,8 @@ func runOne(spec Spec, approach cluster.Approach, traced bool) (*result, error) 
 	if err != nil {
 		return nil, err
 	}
-	var tracer *vmm.Tracer
 	if traced {
-		tracer = vmm.NewTracer(traceCap)
-		s.World.SetTracer(tracer)
+		s.World.SetTracer(vmm.NewTracer(traceCap))
 	}
 	clusterVMs := make([][]*vmm.VM, len(spec.Clusters))
 	for i, c := range spec.Clusters {
@@ -116,24 +114,14 @@ func runOne(spec Spec, approach cluster.Approach, traced bool) (*result, error) 
 			return nil, err
 		}
 		at := sim.FromSeconds(spec.SwapAtSec)
-		if s.World.Sharded() {
-			// Each node schedules its own swap on its own engine: one
-			// global event cannot reach across shards, and per-node events
-			// at a fixed virtual time are exactly as deterministic.
-			for _, n := range s.World.Nodes() {
-				n := n
-				n.Engine().At(at, func() {
-					if err := n.SwapScheduler(f); err != nil {
-						panic(err) // nil factory cannot reach here
-					}
-				})
-			}
-		} else {
-			s.World.Eng.At(at, func() {
-				for _, n := range s.World.Nodes() {
-					if err := n.SwapScheduler(f); err != nil {
-						panic(err) // nil factory cannot reach here
-					}
+		// Each node schedules its own swap on its own engine: one global
+		// event cannot reach across shards, and per-node events at a
+		// fixed virtual time are exactly as deterministic.
+		for _, n := range s.World.Nodes() {
+			n := n
+			n.Engine().At(at, func() {
+				if err := n.SwapScheduler(f); err != nil {
+					panic(err) // nil factory cannot reach here
 				}
 			})
 		}
@@ -172,7 +160,7 @@ func runOne(spec Spec, approach cluster.Approach, traced bool) (*result, error) 
 		res.swaps = append(res.swaps, n.Swaps())
 	}
 	if traced {
-		res.fingerprint = fingerprint(s, tracer)
+		res.fingerprint = fingerprint(s)
 	}
 	return res, nil
 }
@@ -217,7 +205,7 @@ func buildJobs(s *cluster.Scenario, spec Spec) error {
 // per-VM statistics and the full retained scheduling trace — as one
 // string. Two runs of the same Spec under the same approach must produce
 // byte-identical fingerprints.
-func fingerprint(s *cluster.Scenario, tracer *vmm.Tracer) string {
+func fingerprint(s *cluster.Scenario) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "now=%d executed=%d\n", int64(s.World.Now()), s.World.Executed())
 	fmt.Fprintf(&b, "%s\n", s.FaultReport())

@@ -74,12 +74,11 @@ func TestDFRSDifferentialPinned(t *testing.T) {
 
 // TestDFRSShardTelemetryEquivalence pins, for both fractional kinds,
 // that the determinism fingerprint is byte-identical across shard
-// counts {1,2,4,8} and with the telemetry plane on vs off at every
-// shard count including the serial engine (0) — the serial family
-// fingerprints differently from the sharded one by design, so serial
-// equivalence is checked within the family (replay + telemetry).
+// counts {1,2,4,8}, with the telemetry plane on vs off at every shard
+// count, and on a replay that leaves the shard count at zero (one
+// shard).
 func TestDFRSShardTelemetryEquivalence(t *testing.T) {
-	counts := []int{0, 1, 2, 4, 8}
+	counts := []int{1, 2, 4, 8}
 	for _, kind := range dfrsKinds {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
@@ -109,21 +108,21 @@ func TestDFRSShardTelemetryEquivalence(t *testing.T) {
 						sc, diffAt(r.fingerprint, rt.fingerprint), len(r.fingerprint), len(rt.fingerprint))
 				}
 			}
-			for _, sc := range counts[2:] {
+			for _, sc := range counts[1:] {
 				if fps[sc] != fps[1] {
 					t.Errorf("shards=%d: fingerprint diverged from shards=1 at byte %d of %d/%d",
 						sc, diffAt(fps[1], fps[sc]), len(fps[1]), len(fps[sc]))
 				}
 			}
-			// Serial replay: the shards=0 family must reproduce itself.
+			// Replay with the shard count unset: zero means one shard.
 			replay := spec
 			replay.Shards = 0
 			r2, err := runOne(replay, kind, true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if r2.fingerprint != fps[0] {
-				t.Errorf("serial replay diverged at byte %d", diffAt(fps[0], r2.fingerprint))
+			if r2.fingerprint != fps[1] {
+				t.Errorf("shards=0 replay diverged from shards=1 at byte %d", diffAt(fps[1], r2.fingerprint))
 			}
 		})
 	}

@@ -74,11 +74,10 @@ type Spec struct {
 	// Faults, when present, layers a deterministic fault schedule onto
 	// the run; the battery's properties must hold regardless.
 	Faults *fault.Spec `json:"faults,omitempty"`
-	// Shards, when positive, runs the world on that many engine shards
-	// (the sharded parallel core). Zero keeps the serial engine. The
-	// battery's properties are shard-blind; the dedicated shard
-	// equivalence check additionally proves fingerprints match across
-	// shard counts.
+	// Shards is the number of engine shards the world runs on; zero
+	// means one. The battery's properties are shard-blind; the dedicated
+	// shard equivalence check additionally proves fingerprints match
+	// across shard counts.
 	Shards int `json:"shards,omitempty"`
 	// FleetNodes, when positive, additionally runs the fleet
 	// control-plane kill-restore property on a separate hollow world of
@@ -403,9 +402,10 @@ func Generate(seed uint64, lim Limits) Spec {
 	if src.Float64() < 0.15 {
 		spec.Faults = genFaults(src, spec.Nodes)
 	}
-	// A slice of scenarios runs on the sharded engine (shard counts past
-	// the node count clamp down in the world builder; 1 exercises the
-	// sharded machinery without concurrency).
+	// A slice of scenarios pins a shard count (counts past the node
+	// count clamp down in the world builder). The draw stays even though
+	// unpinned specs already run on one shard, so the generated corpus
+	// does not shift.
 	if src.Float64() < 0.15 {
 		shardChoices := []int{1, 2, 4, 8}
 		spec.Shards = shardChoices[src.Intn(len(shardChoices))]

@@ -131,17 +131,11 @@ func candidates(s Spec) []Spec {
 		c.Faults = nil
 		out = append(out, c)
 	}
-	// Shard count shrinks toward 1 (still sharded machinery, no
-	// concurrency), then to 0 (the serial engine) — isolating whether a
-	// failure needs sharding at all.
+	// Shard count shrinks toward 1 (no concurrency) — isolating whether
+	// a failure needs several shards at all.
 	if s.Shards > 1 {
 		c := clone(s)
 		c.Shards = halve(c.Shards)
-		out = append(out, c)
-	}
-	if s.Shards != 0 {
-		c := clone(s)
-		c.Shards = 0
 		out = append(out, c)
 	}
 	if s.Telemetry {

@@ -6,9 +6,9 @@ import (
 	"atcsched/internal/cluster"
 )
 
-// telemetryShardCounts spans the acceptance set: serial engine (0),
-// sharded machinery without concurrency (1), and real fan-out (2, 4, 8).
-var telemetryShardCounts = []int{0, 1, 2, 4, 8}
+// telemetryShardCounts spans the acceptance set: one shard (no
+// concurrency) and real fan-out (2, 4, 8).
+var telemetryShardCounts = []int{1, 2, 4, 8}
 
 // telemetryFingerprint runs spec with Telemetry forced to want and
 // returns the determinism fingerprint.
@@ -53,7 +53,7 @@ func TestTelemetryEquivalenceGenerated(t *testing.T) {
 	approaches := cluster.ExtendedApproaches()
 	counts := telemetryShardCounts
 	if testing.Short() {
-		counts = []int{0, 4}
+		counts = []int{1, 4}
 	}
 	for seed := uint64(1); seed <= 3; seed++ {
 		spec := Generate(seed, Bounded())

@@ -391,13 +391,16 @@ func Build(spec *Spec) (*Result, error) {
 				targets[n] = n
 			}
 		}
-		targets = append([]int(nil), targets...)
-		s.World.Eng.Schedule(sim.FromSeconds(sw.AtSec), func() {
-			for _, n := range targets {
+		// Each target schedules its own swap on its own engine, so the
+		// switch never reaches across shards.
+		at := sim.FromSeconds(sw.AtSec)
+		for _, id := range targets {
+			n := s.World.Node(id)
+			n.Engine().At(at, func() {
 				// Validate ruled out the only error (nil factory).
-				_ = s.World.Node(n).SwapScheduler(f)
-			}
-		})
+				_ = n.SwapScheduler(f)
+			})
+		}
 	}
 	res := &Result{
 		Scenario: s,

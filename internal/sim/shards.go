@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"runtime/pprof"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -220,16 +222,7 @@ func (g *ShardGroup) inject(wEnd Time) {
 	if len(g.pending) == 0 {
 		return
 	}
-	sort.Slice(g.pending, func(i, j int) bool {
-		a, b := &g.pending[i], &g.pending[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		return a.seq < b.seq
-	})
+	slices.SortFunc(g.pending, compareCross)
 	n := 0
 	for ; n < len(g.pending) && g.pending[n].at < wEnd; n++ {
 		ev := g.pending[n]
@@ -239,6 +232,18 @@ func (g *ShardGroup) inject(wEnd Time) {
 		g.stats.CrossInjected += uint64(n)
 		g.pending = append(g.pending[:0], g.pending[n:]...)
 	}
+}
+
+// compareCross orders cross events by (at, src, seq). A package-level
+// function keeps the sort allocation-free.
+func compareCross(a, b crossEvent) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.src, b.src); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
 }
 
 // earliest returns the earliest actionable timestamp across all engines
@@ -259,11 +264,16 @@ func (g *ShardGroup) earliest() (Time, bool) {
 	return min, has
 }
 
-// runSegment runs every engine to segEnd. Engines with no events in the
-// segment only need their clocks advanced; when more than one engine has
-// real work the segment fans out over goroutines (labelled for pprof
-// attribution when SetShardLabels was called).
-func (g *ShardGroup) runSegment(segEnd Time) {
+// runSegment runs the engines with work up to segEnd (wEnd, the
+// current window's end, or t if earlier) and returns the time the group
+// reached.
+// Engines with no events in the segment keep their clocks: they catch up
+// when they next have work, and RunUntil aligns them on return. When
+// exactly one engine has work it runs alone and may fast-forward past
+// segEnd (see runAlone); when more than one does the segment fans out
+// over goroutines (labelled for pprof attribution when SetShardLabels
+// was called).
+func (g *ShardGroup) runSegment(segEnd, wEnd, t Time) Time {
 	active := g.scratch[:0]
 	for i, e := range g.engines {
 		if at, ok := e.NextEventAt(); ok && at <= segEnd {
@@ -271,13 +281,14 @@ func (g *ShardGroup) runSegment(segEnd Time) {
 		}
 	}
 	g.scratch = active[:0] // retain capacity
-	g.stats.Segments++
-	if len(active) <= 1 {
-		for _, e := range g.engines {
-			e.RunUntil(segEnd)
-		}
-		return
+	switch len(active) {
+	case 0:
+		g.stats.Segments++
+		return segEnd
+	case 1:
+		return g.runAlone(active[0], segEnd, wEnd, t)
 	}
+	g.stats.Segments++
 	g.stats.ParallelSegments++
 	var wg sync.WaitGroup
 	for _, i := range active {
@@ -295,9 +306,76 @@ func (g *ShardGroup) runSegment(segEnd Time) {
 		}(i)
 	}
 	wg.Wait()
-	for _, e := range g.engines {
-		if e.now < segEnd {
-			e.RunUntil(segEnd) // idle engines: clock advance only
+	return segEnd
+}
+
+// never is the horizon of work that does not exist.
+const never = Time(math.MaxInt64)
+
+// runAlone runs engine i, the only one with work up to segEnd, and then
+// keeps it running across the following window boundaries for as long
+// as the barrier would have nothing to do at them. It replays the
+// barrier's decisions — watermark, window and segment counters, skips
+// over idle windows — without sorting or scanning the pending list, so
+// the execution is identical to stepping window by window. It stops, and
+// returns the time reached, at the first of:
+//   - the end of the window in which engine i Posted or a stop was
+//     requested (the barrier must collect or halt there);
+//   - the start of the window that holds the earliest pending cross
+//     event (it must be injected first);
+//   - the start of the window that holds another engine's next event;
+//   - t.
+//
+// Neither bound moves while engine i runs: its Posts stay in its outbox
+// until the barrier collects them, and no other engine runs.
+func (g *ShardGroup) runAlone(i int, segEnd, wEnd, t Time) Time {
+	e := g.engines[i]
+	pend, other := never, never
+	for k := range g.pending {
+		pend = min(pend, g.pending[k].at)
+	}
+	for k, o := range g.engines {
+		if k == i {
+			continue
+		}
+		if at, ok := o.NextEventAt(); ok {
+			other = min(other, at)
+		}
+	}
+	for {
+		g.winEnd = wEnd
+		e.RunUntil(segEnd)
+		g.stats.Segments++
+		now := segEnd
+		if now >= t || len(g.outbox[i]) > 0 || g.halt.Load() {
+			return now
+		}
+		// The barrier's next iterations, while they leave engine i alone.
+		for {
+			wEnd = (now/g.look + 1) * g.look
+			if pend < wEnd {
+				return now
+			}
+			g.injected = wEnd
+			g.stats.Windows++
+			segEnd = min(wEnd, t)
+			next := min(pend, other)
+			if at, ok := e.NextEventAt(); ok {
+				next = min(next, at)
+			}
+			if next <= segEnd {
+				break
+			}
+			if next == never || next > t {
+				return t
+			}
+			now = (next / g.look) * g.look
+			if now >= t {
+				return now
+			}
+		}
+		if other <= segEnd {
+			return now
 		}
 	}
 }
@@ -306,6 +384,7 @@ func (g *ShardGroup) runSegment(segEnd Time) {
 // window boundary. It returns early when RequestStop was observed at a
 // segment boundary; engine clocks are aligned to Now() on return.
 func (g *ShardGroup) RunUntil(t Time) {
+	g.collect() // Posts made between RunUntil calls
 	for g.now < t && !g.halt.Load() {
 		wEnd := (g.now/g.look + 1) * g.look
 		if g.injected < wEnd {
@@ -329,13 +408,10 @@ func (g *ShardGroup) RunUntil(t Time) {
 			continue
 		}
 		g.winEnd = wEnd
-		g.runSegment(segEnd)
-		g.now = segEnd
+		g.now = g.runSegment(segEnd, wEnd, t)
 		g.collect()
 	}
 	for _, e := range g.engines {
-		if e.now < g.now {
-			e.RunUntil(g.now)
-		}
+		e.RunUntil(g.now)
 	}
 }

@@ -50,6 +50,35 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestShardGroupSteadyStateAllocs is the group-level companion of
+// TestSteadyStateAllocs: once warm, a cross-source Post followed by a
+// RunUntil across several windows — collect, sort, inject, fire — must
+// not allocate.
+func TestShardGroupSteadyStateAllocs(t *testing.T) {
+	const look = 50 * Microsecond
+	g := NewShardGroup(1, look)
+	g.AssignSource(0, 0)
+	g.AssignSource(1, 0)
+	eng := g.Engine(0)
+	fn := func() {}
+	post := func() {
+		for i := 0; i < 4; i++ {
+			g.Post(i%2, 1-i%2, eng.Now()+look+Time(4-i)*Microsecond, fn)
+		}
+	}
+	cycle := func() {
+		now := g.Now()
+		eng.At(now+Microsecond, post)
+		g.RunUntil(now + 3*look)
+	}
+	for i := 0; i < 16; i++ {
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(200, cycle); avg > 0 {
+		t.Fatalf("steady-state Post+RunUntil allocates %.2f objects per cycle, want 0", avg)
+	}
+}
+
 // shardScript runs a fixed cross-source ping-pong script on a group with
 // the given shard count and source→shard assignment, returning an
 // execution log that must be identical for every sharding.
@@ -115,6 +144,100 @@ func TestShardGroupDeterministic(t *testing.T) {
 	for _, c := range cases {
 		if got := shardScript(t, c.shards, c.assign); got != ref {
 			t.Errorf("%s: execution log diverged from serial reference\nref:\n%s\ngot:\n%s", c.name, ref, got)
+		}
+	}
+}
+
+// randomScript runs a seeded random script on a group: every source
+// fires local follow-ups (some landing exactly on window boundaries, some
+// after idle gaps of many windows) and Posts to random destinations, and
+// the run is driven in chunks that end mid-window. It returns the
+// execution log and the group's counters minus ParallelSegments, the
+// only one that depends on the shard count.
+func randomScript(shards int, assign func(src int) int, seed uint64) (string, SyncStats) {
+	const look = 50 * Microsecond
+	const sources = 5
+	g := NewShardGroup(shards, look)
+	for s := 0; s < sources; s++ {
+		g.AssignSource(s, assign(s))
+	}
+	logs := make([][]string, sources)
+	state := make([]uint64, sources) // per-source xorshift, race-free
+	budget := make([]int, sources)
+	draw := func(src int, n uint64) uint64 {
+		x := state[src]
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		state[src] = x
+		return x % n
+	}
+	var fire func(src int) func()
+	fire = func(src int) func() {
+		return func() {
+			eng := g.Engine(g.shardOf[src])
+			logs[src] = append(logs[src], fmt.Sprintf("src%d at=%d", src, eng.Now()))
+			if budget[src]--; budget[src] < 0 {
+				return
+			}
+			var delay Time
+			switch draw(src, 4) {
+			case 0: // to the next window boundary
+				delay = (eng.Now()/look+1)*look - eng.Now()
+			case 1: // idle gap of many windows
+				delay = Time(5+draw(src, 20)) * look
+			default:
+				delay = Time(draw(src, 3*uint64(look)))
+			}
+			eng.Schedule(delay, fire(src))
+			if draw(src, 3) == 0 {
+				dst := int(draw(src, sources))
+				g.Post(src, dst, eng.Now()+look+Time(draw(src, 2))*Time(draw(src, uint64(look))), fire(dst))
+			}
+		}
+	}
+	for s := 0; s < sources; s++ {
+		state[s] = seed*0x9e3779b97f4a7c15 + uint64(s)*0xbf58476d1ce4e5b9 + 1
+		budget[s] = 60
+		g.Engine(assign(s)).At(Time(draw(s, uint64(look))), fire(s))
+	}
+	for _, t := range []Time{130 * Microsecond, 2 * Millisecond, 7*Millisecond + 25*Microsecond, 40 * Millisecond} {
+		g.RunUntil(t)
+	}
+	out := ""
+	for _, l := range logs {
+		for _, line := range l {
+			out += line + "\n"
+		}
+	}
+	st := g.Stats()
+	st.ParallelSegments = 0
+	return out, st
+}
+
+// TestShardGroupFastForwardEquivalent proves the one-active-engine
+// fast-forward replays the barrier exactly: random scripts with idle
+// gaps, boundary-aligned events and cross traffic execute identically —
+// same log, same window, segment and cross-event counts — at one shard
+// (always fast-forwarding) and at two and five shards (fast-forwarding
+// only when one shard has work).
+func TestShardGroupFastForwardEquivalent(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		ref, refStats := randomScript(1, func(int) int { return 0 }, seed)
+		for _, c := range []struct {
+			shards int
+			assign func(int) int
+		}{
+			{2, func(s int) int { return s % 2 }},
+			{5, func(s int) int { return s }},
+		} {
+			got, st := randomScript(c.shards, c.assign, seed)
+			if got != ref {
+				t.Errorf("seed %d shards=%d: execution log diverged from one shard\nref:\n%s\ngot:\n%s", seed, c.shards, ref, got)
+			}
+			if st != refStats {
+				t.Errorf("seed %d shards=%d: stats %+v, one shard %+v", seed, c.shards, st, refStats)
+			}
 		}
 	}
 }

@@ -3,7 +3,8 @@
 // The engine keeps virtual time as nanoseconds in an int64 and executes
 // scheduled events in (time, sequence) order, so two runs with the same
 // inputs produce byte-identical traces. All of atcsched's virtualization
-// substrate (PCPUs, VCPUs, NICs, disks) is driven by one Engine.
+// substrate (PCPUs, VCPUs, NICs, disks) is driven by Engines synchronized
+// by a ShardGroup, one Engine per shard.
 package sim
 
 import (
@@ -200,10 +201,9 @@ const maxFreeEvents = 4096
 // Engine is a discrete-event simulator. The zero value is not usable; use
 // New.
 type Engine struct {
-	now     Time
-	queue   eventQueue
-	seq     uint64
-	stopped bool
+	now   Time
+	queue eventQueue
+	seq   uint64
 	// executed counts events that have fired, for diagnostics.
 	executed uint64
 	// free recycles fired/canceled Event objects, capped at maxFreeEvents;
@@ -276,9 +276,9 @@ func (e *Engine) Cancel(h Handle) {
 }
 
 // Step fires the next pending event. It returns false when the queue is
-// empty or the engine has been stopped.
+// empty.
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 && !e.stopped {
+	for len(e.queue) > 0 {
 		ev := e.queue.popMin()
 		if ev.canceled {
 			continue
@@ -300,27 +300,22 @@ func (e *Engine) Step() bool {
 	return false
 }
 
-// Run fires events until the queue drains or Stop is called.
+// Run fires events until the queue drains.
 func (e *Engine) Run() {
 	for e.Step() {
 	}
 }
 
 // RunUntil fires events with timestamps <= t, then advances the clock to
-// t. Events scheduled beyond t remain queued. When the engine was
-// stopped mid-run the clock stays where the last event left it — pending
-// events must still be able to fire after Resume without the clock
-// running backward.
+// t. Events scheduled beyond t remain queued. Stopping a run early is
+// ShardGroup.RequestStop's job.
 func (e *Engine) RunUntil(t Time) {
-	for !e.stopped {
+	for {
 		ev := e.peek()
 		if ev == nil || ev.at > t {
 			break
 		}
 		e.Step()
-	}
-	if e.stopped {
-		return
 	}
 	if t > e.now {
 		e.now = t
@@ -351,13 +346,3 @@ func (e *Engine) peek() *Event {
 	}
 	return nil
 }
-
-// Stop halts Run/RunUntil after the current event completes. Pending
-// events stay queued; Resume re-enables stepping.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Resume clears a previous Stop.
-func (e *Engine) Resume() { e.stopped = false }
-
-// Stopped reports whether Stop has been called without a matching Resume.
-func (e *Engine) Stopped() bool { return e.stopped }

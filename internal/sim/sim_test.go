@@ -148,47 +148,6 @@ func TestEngineReentrantScheduling(t *testing.T) {
 	}
 }
 
-func TestEngineStopResume(t *testing.T) {
-	e := New()
-	count := 0
-	e.Schedule(1, func() { count++; e.Stop() })
-	e.Schedule(2, func() { count++ })
-	e.Run()
-	if count != 1 {
-		t.Fatalf("count = %d after Stop, want 1", count)
-	}
-	if !e.Stopped() {
-		t.Fatal("Stopped() = false")
-	}
-	e.Resume()
-	e.Run()
-	if count != 2 {
-		t.Fatalf("count = %d after Resume, want 2", count)
-	}
-}
-
-func TestRunUntilDoesNotAdvanceClockWhenStopped(t *testing.T) {
-	// Regression test: a Stop mid-run used to let RunUntil jump the
-	// clock to the horizon, so a later Resume replayed pending events
-	// "in the past" (clock regression).
-	e := New()
-	e.Schedule(5, func() { e.Stop() })
-	fired := false
-	e.Schedule(10, func() { fired = true })
-	e.RunUntil(1000)
-	if e.Now() != 5 {
-		t.Fatalf("Now() = %v after early stop, want 5", e.Now())
-	}
-	if fired {
-		t.Fatal("event after Stop fired")
-	}
-	e.Resume()
-	e.RunUntil(20)
-	if !fired || e.Now() != 20 {
-		t.Fatalf("fired=%v Now=%v after resume", fired, e.Now())
-	}
-}
-
 func TestEnginePanicsOnPastEvent(t *testing.T) {
 	e := New()
 	e.Schedule(10, func() {

@@ -7,7 +7,7 @@
 // The plane is strictly off the determinism path: every publish site in
 // the simulator is guarded by a nil check, sampling reads lifetime
 // counters without consuming the scheduler-facing period accumulators,
-// and a sharded world gives every node its own Registry (mirroring the
+// and every node of a world gets its own Registry (mirroring the
 // per-node tracer rings) so shards never contend on shared state.
 // Enabling telemetry must never change a run's fingerprint — the
 // proptest battery enforces byte-identical results telemetry-on vs

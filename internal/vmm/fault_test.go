@@ -16,7 +16,7 @@ func TestSlowdownStretchesCompute(t *testing.T) {
 	v := vm.VCPU(0)
 	var doneAt sim.Time
 	v.SetProcess(&seqProc{actions: []Action{
-		{Kind: ActCompute, Work: 5 * sim.Millisecond, Then: func() { doneAt = w.Eng.Now() }},
+		{Kind: ActCompute, Work: 5 * sim.Millisecond, Then: func() { doneAt = w.Node(0).Engine().Now() }},
 	}}, nil)
 	w.Start()
 	w.RunUntil(sim.Second)
@@ -45,9 +45,9 @@ func TestSlowdownWindowEnds(t *testing.T) {
 	v := vm.VCPU(0)
 	var slowDone, fastDone sim.Time
 	v.SetProcess(&seqProc{actions: []Action{
-		{Kind: ActCompute, Work: 10 * sim.Millisecond, Then: func() { slowDone = w.Eng.Now() }},
+		{Kind: ActCompute, Work: 10 * sim.Millisecond, Then: func() { slowDone = w.Node(0).Engine().Now() }},
 		Sleep(60 * sim.Millisecond), // idle past the window's end
-		{Kind: ActCompute, Work: 10 * sim.Millisecond, Then: func() { fastDone = w.Eng.Now() }},
+		{Kind: ActCompute, Work: 10 * sim.Millisecond, Then: func() { fastDone = w.Node(0).Engine().Now() }},
 	}}, nil)
 	w.Start()
 	w.RunUntil(sim.Second)

@@ -113,10 +113,10 @@ func TestSoakBoundedMemory(t *testing.T) {
 			w := tc.build()
 			period := w.Node(0).Config().SchedPeriod
 			w.RunUntil(n * period)
-			mail1, pend1, ev1 := w.MailEntries(), w.Eng.Pending(), w.Executed()
+			mail1, pend1, ev1 := w.MailEntries(), w.Pending(), w.Executed()
 			heap1 := liveHeap()
 			w.RunUntil(4 * n * period)
-			mail4, pend4, ev4 := w.MailEntries(), w.Eng.Pending(), w.Executed()
+			mail4, pend4, ev4 := w.MailEntries(), w.Pending(), w.Executed()
 			heap4 := liveHeap()
 			t.Logf("after %d/%d periods: mail %d/%d, pending %d/%d, live heap %d/%d B, events %d/%d",
 				n, 4*n, mail1, mail4, pend1, pend4, heap1, heap4, ev1, ev4)

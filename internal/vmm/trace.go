@@ -73,9 +73,12 @@ func (r TraceRecord) String() string {
 	}
 }
 
-// Tracer collects scheduling records. Attach one to a World with
+// Tracer configures scheduling tracing. Attach one to a World with
 // World.SetTracer before Start; a nil tracer (the default) costs one
-// branch per event.
+// branch per event. The tracer passed in is a template: each node
+// records into its own ring of the same capacity, and the world's
+// TraceRecords, TraceDropped, WriteTrace, WriteTraceCSV and TraceSummary
+// are the read path.
 type Tracer struct {
 	// Keep bounds memory: once Cap records are stored, older records are
 	// dropped (ring). Cap <= 0 means unbounded.
@@ -98,40 +101,32 @@ func (t *Tracer) add(r TraceRecord) {
 	t.records = append(t.records, r)
 }
 
-// Records returns the retained records in time order.
-func (t *Tracer) Records() []TraceRecord {
+// retained returns the ring's records in time order.
+func (t *Tracer) retained() []TraceRecord {
 	out := make([]TraceRecord, 0, len(t.records))
 	out = append(out, t.records[t.head:]...)
 	out = append(out, t.records[:t.head]...)
 	return out
 }
 
-// Dropped returns how many records the ring evicted.
-func (t *Tracer) Dropped() uint64 { return t.dropped }
-
-// Len returns the number of retained records.
-func (t *Tracer) Len() int { return len(t.records) }
-
-// WriteTo dumps the retained records as text lines.
-func (t *Tracer) WriteTo(w io.Writer) (int64, error) {
-	var n int64
-	for _, r := range t.Records() {
-		m, err := fmt.Fprintln(w, r.String())
-		n += int64(m)
-		if err != nil {
-			return n, err
+// WriteTrace dumps the world's retained trace records as text lines.
+func (w *World) WriteTrace(out io.Writer) error {
+	for _, r := range w.TraceRecords() {
+		if _, err := fmt.Fprintln(out, r.String()); err != nil {
+			return err
 		}
 	}
-	return n, nil
+	return nil
 }
 
-// WriteCSV dumps the retained records as CSV with a header.
-func (t *Tracer) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "at_ns,kind,node,pcpu,vm,vcpu,arg_ns"); err != nil {
+// WriteTraceCSV dumps the world's retained trace records as CSV with a
+// header.
+func (w *World) WriteTraceCSV(out io.Writer) error {
+	if _, err := fmt.Fprintln(out, "at_ns,kind,node,pcpu,vm,vcpu,arg_ns"); err != nil {
 		return err
 	}
-	for _, r := range t.Records() {
-		if _, err := fmt.Fprintf(w, "%d,%s,%d,%d,%s,%d,%d\n",
+	for _, r := range w.TraceRecords() {
+		if _, err := fmt.Fprintf(out, "%d,%s,%d,%d,%s,%d,%d\n",
 			int64(r.At), r.Kind, r.Node, r.PCPU, r.VM, r.VCPU, int64(r.Arg)); err != nil {
 			return err
 		}
@@ -139,14 +134,15 @@ func (t *Tracer) WriteCSV(w io.Writer) error {
 	return nil
 }
 
-// Summary aggregates per-VM dispatch counts and CPU-visible state
-// transitions — a quick textual profile of a run.
-func (t *Tracer) Summary() string {
+// TraceSummary aggregates per-VM dispatch counts and CPU-visible state
+// transitions over the world's trace — a quick textual profile of a
+// run.
+func (w *World) TraceSummary() string {
 	type agg struct {
 		dispatch, preempt, block, wake int
 	}
 	per := map[string]*agg{}
-	for _, r := range t.Records() {
+	for _, r := range w.TraceRecords() {
 		if r.VM == "" {
 			continue
 		}
@@ -176,15 +172,15 @@ func (t *Tracer) Summary() string {
 		a := per[n]
 		out += fmt.Sprintf("%-16s %10d %10d %10d %10d\n", n, a.dispatch, a.preempt, a.block, a.wake)
 	}
-	if t.dropped > 0 {
-		out += fmt.Sprintf("(%d older records dropped by the ring)\n", t.dropped)
+	if d := w.TraceDropped(); d > 0 {
+		out += fmt.Sprintf("(%d older records dropped by the ring)\n", d)
 	}
 	return out
 }
 
 // trace emits a record if a tracer is attached to the world. Records go
-// to the node's own ring (n.trc) so sharded nodes never contend on a
-// shared tracer; in serial mode every node's ring is the world tracer.
+// to the node's own ring (n.trc) so shards never contend on a shared
+// tracer.
 func (n *Node) trace(kind TraceKind, pcpu int, v *VCPU, arg sim.Time) {
 	t := n.trc
 	if t == nil {

@@ -12,9 +12,6 @@ func TestTracerCapturesLifecycle(t *testing.T) {
 	w := testWorld(t, 1, 1, 5*sim.Millisecond)
 	tr := NewTracer(0)
 	w.SetTracer(tr)
-	if w.Tracer() != tr {
-		t.Fatal("tracer not attached")
-	}
 	vm := w.Node(0).NewVM("tr", ClassParallel, 1, 0, 1)
 	vm.VCPU(0).SetProcess(&seqProc{actions: []Action{
 		Compute(12 * sim.Millisecond), // spans two 5ms slices → preempts
@@ -24,8 +21,11 @@ func TestTracerCapturesLifecycle(t *testing.T) {
 	w.Start()
 	w.RunUntil(sim.Second)
 
+	if len(tr.records) != 0 {
+		t.Errorf("template tracer holds %d records; nodes record into their own rings", len(tr.records))
+	}
 	var dispatches, preempts, blocks, wakes int
-	for _, r := range tr.Records() {
+	for _, r := range w.TraceRecords() {
 		switch r.Kind {
 		case TraceDispatch:
 			dispatches++
@@ -50,7 +50,7 @@ func TestTracerCapturesLifecycle(t *testing.T) {
 		t.Errorf("blocks = %d wakes = %d", blocks, wakes)
 	}
 	// Records are time-ordered.
-	recs := tr.Records()
+	recs := w.TraceRecords()
 	for i := 1; i < len(recs); i++ {
 		if recs[i].At < recs[i-1].At {
 			t.Fatal("records out of order")
@@ -63,24 +63,26 @@ func TestTracerRingBound(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tr.add(TraceRecord{At: sim.Time(i), Kind: TraceDispatch, VM: "x"})
 	}
-	if tr.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", tr.Len())
+	if len(tr.records) != 4 {
+		t.Fatalf("retained %d records, want 4", len(tr.records))
 	}
-	if tr.Dropped() != 6 {
-		t.Errorf("Dropped = %d, want 6", tr.Dropped())
+	if tr.dropped != 6 {
+		t.Errorf("dropped = %d, want 6", tr.dropped)
 	}
-	recs := tr.Records()
+	recs := tr.retained()
 	if recs[0].At != 6 || recs[3].At != 9 {
 		t.Errorf("ring kept %v..%v, want 6..9", recs[0].At, recs[3].At)
 	}
 }
 
 func TestTracerOutputs(t *testing.T) {
-	tr := NewTracer(0)
-	tr.add(TraceRecord{At: sim.Millisecond, Kind: TraceDispatch, Node: 0, PCPU: 2, VM: "vm0", VCPU: 1})
-	tr.add(TraceRecord{At: 2 * sim.Millisecond, Kind: TraceSliceChange, Node: 0, PCPU: -1, VM: "vm0", VCPU: -1, Arg: 6 * sim.Millisecond})
+	w := testWorld(t, 2, 1, 5*sim.Millisecond)
+	w.SetTracer(NewTracer(0))
+	// Node 1's record is earlier: the world merges the rings by time.
+	w.Node(1).trc.add(TraceRecord{At: sim.Millisecond, Kind: TraceDispatch, Node: 1, PCPU: 2, VM: "vm0", VCPU: 1})
+	w.Node(0).trc.add(TraceRecord{At: 2 * sim.Millisecond, Kind: TraceSliceChange, Node: 0, PCPU: -1, VM: "vm0", VCPU: -1, Arg: 6 * sim.Millisecond})
 	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
+	if err := w.WriteTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -88,7 +90,7 @@ func TestTracerOutputs(t *testing.T) {
 		t.Errorf("text output:\n%s", out)
 	}
 	buf.Reset()
-	if err := tr.WriteCSV(&buf); err != nil {
+	if err := w.WriteTraceCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -104,11 +106,13 @@ func TestTracerOutputs(t *testing.T) {
 }
 
 func TestTracerSummary(t *testing.T) {
-	tr := NewTracer(2)
-	tr.add(TraceRecord{Kind: TraceDispatch, VM: "a"})
-	tr.add(TraceRecord{Kind: TraceBlock, VM: "a"})
-	tr.add(TraceRecord{Kind: TraceWake, VM: "b"})
-	s := tr.Summary()
+	w := testWorld(t, 1, 1, 5*sim.Millisecond)
+	w.SetTracer(NewTracer(2))
+	ring := w.Node(0).trc
+	ring.add(TraceRecord{Kind: TraceDispatch, VM: "a"})
+	ring.add(TraceRecord{Kind: TraceBlock, VM: "a"})
+	ring.add(TraceRecord{Kind: TraceWake, VM: "b"})
+	s := w.TraceSummary()
 	if !strings.Contains(s, "b") || !strings.Contains(s, "dropped") {
 		t.Errorf("summary:\n%s", s)
 	}
@@ -129,8 +133,8 @@ func TestNoTracerIsCheap(t *testing.T) {
 	vm.VCPU(0).SetProcess(&seqProc{actions: []Action{Compute(sim.Millisecond)}}, nil)
 	w.Start()
 	w.RunUntil(100 * sim.Millisecond)
-	if w.Tracer() != nil {
-		t.Fatal("unexpected tracer")
+	if w.TraceRecords() != nil || w.TraceDropped() != 0 {
+		t.Fatal("unexpected trace")
 	}
 }
 

@@ -11,27 +11,30 @@ import (
 	"atcsched/internal/telemetry"
 )
 
-// World is a whole simulated cluster: the engine(s), the physical fabric,
+// World is a whole simulated cluster: the engines, the physical fabric,
 // and the nodes. Construct it, create VMs and install their processes,
 // then call Start and drive it with RunUntil.
 //
-// A world runs in one of two modes. In serial mode (NewWorld,
-// NewHeteroWorld) one engine drives every node and Eng exposes it
-// directly — the historical behaviour, byte-identical to previous
-// releases. In sharded mode (NewShardedHeteroWorld) each node owns an
-// engine, nodes are partitioned over a sim.ShardGroup's shards, and all
-// cross-node interaction flows through the group's lookahead barrier;
-// Eng is nil and callers must use the World-level methods (Now, RunUntil,
-// Stop, ...) that work in both modes.
+// Every world runs on a sim.ShardGroup: the nodes are partitioned
+// contiguously over the group's shards, the nodes of one shard share
+// that shard's engine, and all cross-node interaction flows through the
+// group's lookahead barrier. Results are keyed on node topology, never
+// shard topology, so a scenario fingerprints identically at every shard
+// count. Drive and observe the world through its methods (Now, RunUntil,
+// Stop, ...); inside an event callback, a node's Engine().Now() is the
+// event's time.
 type World struct {
-	// Eng is the single engine in serial mode; nil in sharded mode.
+	// Eng is shard 0's engine. It is kept only so the frozen benchmark
+	// harness (perfbench), which reads Eng.Pending(), keeps compiling;
+	// nothing else may use it — it sees only shard 0's events and none
+	// of the cross events queued at the barrier. Delete it at the next
+	// benchmark change.
 	Eng    *sim.Engine
 	Fabric *netmodel.Fabric
 	nodes  []*Node
 	vms    []*VM
 
-	// group synchronizes the per-node engines in sharded mode (nil in
-	// serial mode).
+	// group synchronizes the shard engines.
 	group *sim.ShardGroup
 
 	nextVMID   int
@@ -53,53 +56,40 @@ type World struct {
 // slowdown hook. fn must be deterministic in (node, now); factors below
 // 1 are treated as 1. Segments already in flight keep the factor they
 // started with — the hook is sampled at segment start, so its
-// granularity is one slice at worst. In a sharded world the hook is
-// called concurrently from different shards and must not share mutable
-// state across nodes.
+// granularity is one slice at worst. The hook is called concurrently
+// from different shards and must not share mutable state across nodes.
 func (w *World) SetSlowdown(fn func(node int, now sim.Time) float64) { w.slowFn = fn }
 
 // SetMonitorTap installs (or, with nil, removes) the monitoring-path
-// fault hook consulted by VM.SampleSpinPeriod. The sharded caveat of
-// SetSlowdown applies: any mutable state must be partitioned by node.
+// fault hook consulted by VM.SampleSpinPeriod. The concurrency caveat
+// of SetSlowdown applies: any mutable state must be partitioned by node.
 func (w *World) SetMonitorTap(fn func(vm *VM) MonitorVerdict) { w.monitorTap = fn }
 
 // SetTracer attaches a scheduling tracer (nil detaches). Attach before
-// Start to capture the whole run. In serial mode every node records into
-// t itself; in sharded mode each node gets its own ring of the same
-// capacity (shards must not share a ring) and t serves as the template —
-// read the merged stream with TraceRecords/TraceDropped, which work in
-// both modes.
+// Start to capture the whole run. t is a template: each node records
+// into its own ring of t's capacity (shards must not share a ring), so
+// t itself stays empty — read the merged stream with TraceRecords and
+// TraceDropped.
 func (w *World) SetTracer(t *Tracer) {
 	w.tracer = t
 	for _, n := range w.nodes {
-		if t == nil {
-			n.trc = nil
-		} else if w.group != nil {
+		n.trc = nil
+		if t != nil {
 			n.trc = NewTracer(t.Cap)
-		} else {
-			n.trc = t
 		}
 	}
 }
 
-// Tracer returns the attached tracer (nil when none). In sharded mode
-// this is the template passed to SetTracer, not the per-node rings; use
-// TraceRecords for the data.
-func (w *World) Tracer() *Tracer { return w.tracer }
-
 // TraceRecords returns the retained scheduling records of the whole
-// world in deterministic order: by time, ties broken by node. Works in
-// both modes; returns nil when no tracer is attached.
+// world in deterministic order: by time, ties broken by node. Returns
+// nil when no tracer is attached.
 func (w *World) TraceRecords() []TraceRecord {
 	if w.tracer == nil {
 		return nil
 	}
-	if w.group == nil {
-		return w.tracer.Records()
-	}
 	var out []TraceRecord
 	for _, n := range w.nodes {
-		out = append(out, n.trc.Records()...)
+		out = append(out, n.trc.retained()...)
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].At != out[j].At {
@@ -110,57 +100,34 @@ func (w *World) TraceRecords() []TraceRecord {
 	return out
 }
 
-// TraceDropped returns how many records the tracer ring(s) evicted.
+// TraceDropped returns how many records the nodes' rings evicted.
 func (w *World) TraceDropped() uint64 {
 	if w.tracer == nil {
 		return 0
 	}
-	if w.group == nil {
-		return w.tracer.Dropped()
-	}
 	var n uint64
 	for _, nd := range w.nodes {
-		n += nd.trc.Dropped()
+		n += nd.trc.dropped
 	}
 	return n
 }
 
-// NewWorld builds nNodes identical nodes, each with its own scheduler
-// instance produced by factory.
+// NewWorld builds nNodes identical nodes on one shard, each with its
+// own scheduler instance produced by factory.
 func NewWorld(nNodes int, ncfg NodeConfig, netCfg netmodel.Config, factory SchedulerFactory) (*World, error) {
 	if factory == nil {
 		return nil, fmt.Errorf("vmm: nil scheduler factory")
 	}
-	return NewHeteroWorld(nNodes, ncfg, netCfg, func(int) SchedulerFactory { return factory })
+	return NewHeteroWorld(nNodes, 1, ncfg, netCfg, func(int) SchedulerFactory { return factory })
 }
 
-// NewHeteroWorld builds nNodes nodes whose schedulers may differ:
+// NewHeteroWorld builds nNodes nodes whose schedulers may differ —
 // factoryFor(i) supplies the factory for node i, so a cluster can run
-// one policy on most nodes and another on the rest.
-func NewHeteroWorld(nNodes int, ncfg NodeConfig, netCfg netmodel.Config, factoryFor func(node int) SchedulerFactory) (*World, error) {
-	return newWorld(nNodes, 0, ncfg, netCfg, factoryFor)
-}
-
-// NewShardedHeteroWorld builds a world whose nodes are partitioned over
+// one policy on most nodes and another on the rest — partitioned over
 // `shards` engine shards synchronized at the network lookahead
-// (netCfg.WireLatency, which must be positive). Shard counts are clamped
-// to [1, nNodes]. The simulation semantics are keyed on node topology,
-// never shard topology, so a given scenario produces byte-identical
-// results at every shard count — including 1 — though the sharded
-// fingerprint family differs from serial mode's (cross-node deliveries
-// sequence at barriers rather than at send time).
-func NewShardedHeteroWorld(nNodes, shards int, ncfg NodeConfig, netCfg netmodel.Config, factoryFor func(node int) SchedulerFactory) (*World, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("vmm: sharded world needs at least one shard, got %d", shards)
-	}
-	if netCfg.WireLatency <= 0 {
-		return nil, fmt.Errorf("vmm: sharded world needs a positive wire latency for lookahead, got %v", netCfg.WireLatency)
-	}
-	return newWorld(nNodes, shards, ncfg, netCfg, factoryFor)
-}
-
-// newWorld is the shared builder: shards == 0 selects serial mode.
-func newWorld(nNodes, shards int, ncfg NodeConfig, netCfg netmodel.Config, factoryFor func(node int) SchedulerFactory) (*World, error) {
+// (netCfg.WireLatency, which must be positive). Shard counts below 1
+// mean 1; counts above nNodes are clamped to it.
+func NewHeteroWorld(nNodes, shards int, ncfg NodeConfig, netCfg netmodel.Config, factoryFor func(node int) SchedulerFactory) (*World, error) {
 	if nNodes <= 0 {
 		return nil, fmt.Errorf("vmm: need at least one node, got %d", nNodes)
 	}
@@ -170,26 +137,19 @@ func newWorld(nNodes, shards int, ncfg NodeConfig, netCfg netmodel.Config, facto
 	if factoryFor == nil {
 		return nil, fmt.Errorf("vmm: nil scheduler factory function")
 	}
-	w := &World{}
-	engines := make([]*sim.Engine, nNodes)
-	if shards == 0 {
-		w.Eng = sim.New()
-		for i := range engines {
-			engines[i] = w.Eng
-		}
-		w.Fabric = netmodel.New(w.Eng, nNodes, netCfg)
-	} else {
-		if shards > nNodes {
-			shards = nNodes
-		}
-		w.group = sim.NewShardGroup(shards, netCfg.WireLatency)
-		for i := range engines {
-			sh := i * shards / nNodes
-			engines[i] = w.group.Engine(sh)
-			w.group.AssignSource(i, sh)
-		}
-		w.Fabric = netmodel.NewSharded(engines, netCfg, w.group.Post)
+	if netCfg.WireLatency <= 0 {
+		return nil, fmt.Errorf("vmm: world needs a positive wire latency for lookahead, got %v", netCfg.WireLatency)
 	}
+	shards = max(1, min(shards, nNodes))
+	w := &World{group: sim.NewShardGroup(shards, netCfg.WireLatency)}
+	w.Eng = w.group.Engine(0)
+	engines := make([]*sim.Engine, nNodes)
+	for i := range engines {
+		sh := i * shards / nNodes
+		engines[i] = w.group.Engine(sh)
+		w.group.AssignSource(i, sh)
+	}
+	w.Fabric = netmodel.New(engines, netCfg, w.group.Post)
 	for i := 0; i < nNodes; i++ {
 		n := &Node{world: w, id: i, cfg: ncfg, eng: engines[i]}
 		for j := 0; j < ncfg.PCPUs; j++ {
@@ -225,16 +185,8 @@ func MustNewWorld(nNodes int, ncfg NodeConfig, netCfg netmodel.Config, factory S
 	return w
 }
 
-// Sharded reports whether the world runs on a shard group.
-func (w *World) Sharded() bool { return w.group != nil }
-
-// ShardCount returns the number of engine shards (1 in serial mode).
-func (w *World) ShardCount() int {
-	if w.group == nil {
-		return 1
-	}
-	return w.group.Shards()
-}
+// ShardCount returns the number of engine shards.
+func (w *World) ShardCount() int { return w.group.Shards() }
 
 // Nodes returns the world's nodes (do not mutate).
 func (w *World) Nodes() []*Node { return w.nodes }
@@ -268,70 +220,41 @@ func (w *World) Start() {
 	}
 }
 
-// Now returns the current virtual time (the group clock in sharded
-// mode — the time every shard has reached).
-func (w *World) Now() sim.Time {
-	if w.group != nil {
-		return w.group.Now()
-	}
-	return w.Eng.Now()
-}
+// Now returns the current virtual time: the group clock, the time
+// every shard has reached at the last barrier.
+func (w *World) Now() sim.Time { return w.group.Now() }
 
 // Executed returns the total number of events fired across all engines.
-func (w *World) Executed() uint64 {
-	if w.group != nil {
-		return w.group.Executed()
-	}
-	return w.Eng.Executed()
-}
+func (w *World) Executed() uint64 { return w.group.Executed() }
+
+// Pending returns the number of queued events across all engines,
+// cross-node events waiting at the barrier included.
+func (w *World) Pending() int { return w.group.Pending() }
 
 // RunUntil drives the simulation to the given virtual time.
-func (w *World) RunUntil(t sim.Time) {
-	if w.group != nil {
-		w.group.RunUntil(t)
-		return
-	}
-	w.Eng.RunUntil(t)
-}
+func (w *World) RunUntil(t sim.Time) { w.group.RunUntil(t) }
 
 // Stop halts the simulation (e.g., when the experiment's completion
-// condition is met from inside a callback). In sharded mode the stop
-// lands at the next window boundary — a point that is a pure function of
-// virtual time, so stopped runs stay deterministic.
-func (w *World) Stop() {
-	if w.group != nil {
-		w.group.RequestStop()
-		return
-	}
-	w.Eng.Stop()
-}
+// condition is met from inside a callback). The stop lands at the end
+// of the current synchronization window — a point that is a pure
+// function of virtual time, so stopped runs stay deterministic.
+func (w *World) Stop() { w.group.RequestStop() }
 
 // Resume clears a previous Stop.
-func (w *World) Resume() {
-	if w.group != nil {
-		w.group.Resume()
-		return
-	}
-	w.Eng.Resume()
-}
+func (w *World) Resume() { w.group.Resume() }
 
 // Stopped reports whether a stop is in force.
-func (w *World) Stopped() bool {
-	if w.group != nil {
-		return w.group.Stopped()
-	}
-	return w.Eng.Stopped()
-}
+func (w *World) Stopped() bool { return w.group.Stopped() }
 
 // CrossNodeSignal runs fn on dst's engine, attributed to src. On the
-// same node (or in serial mode) it is an immediate deferred event; across
-// shards it travels through the group barrier with one network lookahead
-// of delay — the same contract as a wire message, which is what such
-// signals model (workload completion notifications, coordination RPCs).
-// Using it for ALL cross-node signalling, even between co-sharded nodes,
-// is what keeps results independent of the shard count.
+// same node it is an immediate deferred event; across nodes it travels
+// through the group barrier with one network lookahead of delay — the
+// same contract as a wire message, which is what such signals model
+// (workload completion notifications, coordination RPCs). Using it for
+// ALL cross-node signalling, even between co-sharded nodes, is what
+// keeps results independent of the shard count.
 func (w *World) CrossNodeSignal(src, dst *Node, fn func()) {
-	if w.group == nil || src == dst {
+	if src == dst {
 		dst.eng.Schedule(0, fn)
 		return
 	}

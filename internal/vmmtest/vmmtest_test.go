@@ -100,7 +100,7 @@ func TestLoopNStopsAtNAndReportsRounds(t *testing.T) {
 	LoopN(v, 3, func(round int, now sim.Time) {
 		rounds = append(rounds, round)
 		stamps = append(stamps, now)
-	}, w.Eng, vmm.Compute(2*sim.Millisecond))
+	}, w.Node(0).Engine(), vmm.Compute(2*sim.Millisecond))
 	w.Start()
 	w.RunUntil(sim.Second)
 	if got := v.Rounds(); got != 3 {
