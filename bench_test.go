@@ -95,37 +95,43 @@ func BenchmarkEngineEventThroughput(b *testing.B) {
 	}
 }
 
-// benchScenario runs one type-A scenario and reports simulated events
-// per second — the simulator's own throughput figure.
+// benchSeeds is the fixed seed set one scenario benchmark op runs, so
+// the work per op, and events/run with it, does not depend on b.N.
+var benchSeeds = []uint64{1, 2, 3}
+
+// benchScenario runs the type-A scenario once per seed in benchSeeds
+// per op and reports simulated events per run. It returns the last
+// op's mean execution time over the seed set.
 func benchScenario(b *testing.B, cfg cluster.Config, kernel string) float64 {
 	b.Helper()
-	var lastMean float64
+	var mean float64
 	var events uint64
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = uint64(i + 1)
-		s, err := cluster.New(cfg)
-		if err != nil {
-			b.Fatal(err)
+	for range b.N {
+		mean = 0
+		for _, seed := range benchSeeds {
+			cfg.Seed = seed
+			s, err := cluster.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			prof := workload.NPB(kernel, workload.ClassB)
+			prof.Iterations = 8
+			var runs []*workload.ParallelRun
+			for vc := 0; vc < 4; vc++ {
+				vms := s.VirtualCluster(fmt.Sprintf("vc%d", vc), cfg.Nodes, 8, nil)
+				runs = append(runs, s.RunParallel(prof, vms, 2, false))
+			}
+			if !s.Go(1200 * sim.Second) {
+				b.Fatal("horizon exceeded")
+			}
+			for _, r := range runs {
+				mean += r.MeanTime() / float64(len(runs)*len(benchSeeds))
+			}
+			events += s.World.Executed()
 		}
-		prof := workload.NPB(kernel, workload.ClassB)
-		prof.Iterations = 8
-		var runs []*workload.ParallelRun
-		for vc := 0; vc < 4; vc++ {
-			vms := s.VirtualCluster(fmt.Sprintf("vc%d", vc), cfg.Nodes, 8, nil)
-			runs = append(runs, s.RunParallel(prof, vms, 2, false))
-		}
-		if !s.Go(1200 * sim.Second) {
-			b.Fatal("horizon exceeded")
-		}
-		var mean float64
-		for _, r := range runs {
-			mean += r.MeanTime()
-		}
-		lastMean = mean / float64(len(runs))
-		events += s.World.Executed()
 	}
-	b.ReportMetric(float64(events)/float64(b.N), "events/run")
-	return lastMean
+	b.ReportMetric(float64(events)/float64(b.N*len(benchSeeds)), "events/run")
+	return mean
 }
 
 // BenchmarkSimulatorCR/ATC measure raw simulation throughput under the
@@ -140,37 +146,40 @@ func BenchmarkSimulatorATC(b *testing.B) {
 	b.ReportMetric(mean, "simexec_s")
 }
 
-// benchTelemetry is benchScenario's type-A workload with the telemetry
-// plane attached or detached, reporting ns/event so the disabled cost
-// compares directly against the recorded pre-telemetry baseline.
+// benchTelemetry is benchScenario's type-A workload over the same seed
+// set with the telemetry plane attached or detached, reporting ns/event
+// so the disabled cost compares directly against the recorded
+// pre-telemetry baseline.
 func benchTelemetry(b *testing.B, instrumented bool) {
 	b.Helper()
 	var events uint64
-	for i := 0; i < b.N; i++ {
-		cfg := cluster.DefaultConfig(2, cluster.CR)
-		cfg.Seed = uint64(i + 1)
-		if instrumented {
-			cfg.Telemetry = telemetry.New(telemetry.Options{})
+	for range b.N {
+		for _, seed := range benchSeeds {
+			cfg := cluster.DefaultConfig(2, cluster.CR)
+			cfg.Seed = seed
+			if instrumented {
+				cfg.Telemetry = telemetry.New(telemetry.Options{})
+			}
+			s, err := cluster.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			prof := workload.NPB("lu", workload.ClassB)
+			prof.Iterations = 8
+			for vc := 0; vc < 4; vc++ {
+				vms := s.VirtualCluster(fmt.Sprintf("vc%d", vc), cfg.Nodes, 8, nil)
+				s.RunParallel(prof, vms, 2, false)
+			}
+			if !s.Go(1200 * sim.Second) {
+				b.Fatal("horizon exceeded")
+			}
+			if instrumented {
+				s.FinalizeTelemetry()
+			}
+			events += s.World.Executed()
 		}
-		s, err := cluster.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		prof := workload.NPB("lu", workload.ClassB)
-		prof.Iterations = 8
-		for vc := 0; vc < 4; vc++ {
-			vms := s.VirtualCluster(fmt.Sprintf("vc%d", vc), cfg.Nodes, 8, nil)
-			s.RunParallel(prof, vms, 2, false)
-		}
-		if !s.Go(1200 * sim.Second) {
-			b.Fatal("horizon exceeded")
-		}
-		if instrumented {
-			s.FinalizeTelemetry()
-		}
-		events += s.World.Executed()
 	}
-	b.ReportMetric(float64(events)/float64(b.N), "events/run")
+	b.ReportMetric(float64(events)/float64(b.N*len(benchSeeds)), "events/run")
 	if events > 0 {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 	}

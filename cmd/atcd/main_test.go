@@ -308,8 +308,8 @@ func TestFleetSnapshotRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(raw, &out); err != nil {
 		t.Fatalf("exit snapshot is not JSON: %v", err)
 	}
-	if out.Version != 1 || len(out.Nodes) != 8 {
-		t.Errorf("exit snapshot: version=%d nodes=%d, want version 1 with 8 nodes", out.Version, len(out.Nodes))
+	if out.Version != 2 || len(out.Nodes) != 8 {
+		t.Errorf("exit snapshot: version=%d nodes=%d, want version 2 with 8 nodes", out.Version, len(out.Nodes))
 	}
 	// The restored run continued from the first run's state: its nodes
 	// carry more committed periods than one 30-period run can produce.

@@ -22,13 +22,24 @@ func (c *Controller) TrackedVMs() []int {
 // first) plus the observed-period count, without creating state for an
 // unknown VM: ok is false when the controller has never seen vmID.
 func (c *Controller) ExportVM(vmID int) (lat, slice []sim.Time, observed int, ok bool) {
-	st, found := c.vms[vmID]
-	if !found {
+	w, observed, ok := c.AppendVM(nil, vmID)
+	if !ok {
 		return nil, nil, 0, false
 	}
-	return append([]sim.Time(nil), st.lat...),
-		append([]sim.Time(nil), st.slice...),
-		st.observed, true
+	n := len(w) / 2
+	return w[:n:n], w[n:], observed, true
+}
+
+// AppendVM appends vmID's latency window and then its slice window
+// (oldest first, Window values each) to dst and returns the extended
+// slice with the observed-period count. Like ExportVM it creates no
+// state: ok is false, and dst is returned as is, for an unknown VM.
+func (c *Controller) AppendVM(dst []sim.Time, vmID int) (out []sim.Time, observed int, ok bool) {
+	st, found := c.vms[vmID]
+	if !found {
+		return dst, 0, false
+	}
+	return append(append(dst, st.lat...), st.slice...), st.observed, true
 }
 
 // ImportVM installs a previously-exported history for vmID, replacing

@@ -1,6 +1,7 @@
 package proptest_test
 
 import (
+	"slices"
 	"testing"
 
 	"atcsched/internal/cluster"
@@ -21,6 +22,9 @@ func FuzzWorld(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0))
 	f.Add(uint64(42), uint8(1), uint8(3), uint8(1), uint8(2), uint8(5))
 	f.Add(uint64(7), uint8(0), uint8(1), uint8(7), uint8(1), uint8(255))
+	// A generated fault window scoped to node 1 of a world shrunk to
+	// one node.
+	f.Add(uint64(24), uint8(0x00), uint8(0x05), uint8(0x9a), uint8('+'), uint8('8'))
 	f.Fuzz(func(t *testing.T, seed uint64, nodes, pcpus, kernel, shape, opts uint8) {
 		spec := proptest.Generate(seed, proptest.Bounded())
 		// Rewrite the generated spec's shape from the fuzz bytes, clamped
@@ -49,6 +53,20 @@ func FuzzWorld(f *testing.F) {
 		// per-node policy pins.
 		if len(spec.NodeKinds) > spec.Nodes {
 			spec.NodeKinds = spec.NodeKinds[:spec.Nodes]
+		}
+		// Likewise the generated fault windows' node scopes: drop the
+		// nodes that are gone, and a window none of whose nodes remain
+		// (an empty scope would widen it to every node).
+		if spec.Faults != nil {
+			windows := spec.Faults.Windows[:0]
+			for _, w := range spec.Faults.Windows {
+				scoped := len(w.Nodes) > 0
+				w.Nodes = slices.DeleteFunc(w.Nodes, func(n int) bool { return n >= spec.Nodes })
+				if !scoped || len(w.Nodes) > 0 {
+					windows = append(windows, w)
+				}
+			}
+			spec.Faults.Windows = windows
 		}
 		if err := spec.Validate(); err != nil {
 			t.Fatalf("fuzz-derived spec invalid: %v", err)
