@@ -56,8 +56,8 @@ func TestNPBProfileFacade(t *testing.T) {
 }
 
 func TestExperimentsFacade(t *testing.T) {
-	if len(Experiments()) != 20 {
-		t.Errorf("experiments = %d, want 20", len(Experiments()))
+	if len(Experiments()) != 19 {
+		t.Errorf("experiments = %d, want 19", len(Experiments()))
 	}
 	tables, err := RunExperiment("tab1", "small", 1)
 	if err != nil {

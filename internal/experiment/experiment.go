@@ -123,7 +123,7 @@ var registry = map[string]Experiment{}
 var canonicalOrder = []string{
 	"fig1", "fig2", "fig5", "fig8", "euclid", "fig9",
 	"fig10", "fig11", "fig12", "fig13", "fig14", "tab1",
-	"score", "sens", "ablate", "switch", "faults", "scale", "dfrs", "fleet",
+	"score", "sens", "ablate", "switch", "faults", "scale", "dfrs",
 }
 
 func register(e Experiment) {

@@ -10,7 +10,7 @@ import (
 )
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"fig1", "fig2", "fig5", "fig8", "euclid", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "tab1", "sens", "score", "ablate", "switch", "faults", "scale", "dfrs", "fleet"}
+	want := []string{"fig1", "fig2", "fig5", "fig8", "euclid", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "tab1", "sens", "score", "ablate", "switch", "faults", "scale", "dfrs"}
 	all := All()
 	have := map[string]bool{}
 	for _, e := range all {

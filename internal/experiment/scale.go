@@ -84,16 +84,19 @@ type scaleCell struct {
 	PeakRSSMB float64 `json:"peak_rss_mb"`
 }
 
-// scaleRun is one full sweep appended to BENCH_scale.json: a simulator
-// sweep fills Cells, a fleet control-plane sweep fills Fleet.
+// scaleRun is one full sweep appended to BENCH_scale.json. A simulator
+// sweep fills Cells. Fleet holds, verbatim, the rows of the retired
+// fleet control-plane sweep, and Retired says why they are history;
+// both are kept only so that appending a run preserves them.
 type scaleRun struct {
-	Date  string      `json:"date"`
-	Go    string      `json:"go"`
-	Cores int         `json:"cores"`
-	Scale string      `json:"scale"`
-	Seed  uint64      `json:"seed"`
-	Cells []scaleCell `json:"cells,omitempty"`
-	Fleet []fleetCell `json:"fleet,omitempty"`
+	Date    string          `json:"date"`
+	Go      string          `json:"go"`
+	Cores   int             `json:"cores"`
+	Scale   string          `json:"scale"`
+	Seed    uint64          `json:"seed"`
+	Retired string          `json:"retired,omitempty"`
+	Cells   []scaleCell     `json:"cells,omitempty"`
+	Fleet   json.RawMessage `json:"fleet,omitempty"`
 }
 
 // benchScaleFile is the BENCH_scale.json shape: runs accumulate across

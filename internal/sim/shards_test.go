@@ -28,6 +28,66 @@ func TestFreePoolCapped(t *testing.T) {
 	if len(e.free) > maxFreeEvents {
 		t.Fatalf("free pool grew to %d after run, cap is %d", len(e.free), maxFreeEvents)
 	}
+	// Canceled same-instant events are recycled lazily, as the FIFO
+	// skips them; that path respects the cap too.
+	handles = handles[:0]
+	for i := 0; i < 4*maxFreeEvents; i++ {
+		handles = append(handles, e.Schedule(0, func() {}))
+	}
+	for _, h := range handles {
+		e.Cancel(h)
+	}
+	if p := e.Pending(); p != 0 {
+		t.Fatalf("Pending() = %d after canceling every same-instant event, want 0", p)
+	}
+	e.Run()
+	if len(e.free) > maxFreeEvents {
+		t.Fatalf("free pool grew to %d after skipping canceled same-instant events, cap is %d", len(e.free), maxFreeEvents)
+	}
+}
+
+// TestSameInstantFIFOBounded runs two interleaved zero-delay chains of
+// 1e5 events at one instant. The FIFO never drains, so without
+// compaction its spent prefix would grow with every event; with it the
+// backing array stays at a few slots.
+func TestSameInstantFIFOBounded(t *testing.T) {
+	e := New()
+	const n = 100000
+	left := n
+	var chain func()
+	chain = func() {
+		if left > 0 {
+			left--
+			e.Schedule(0, chain)
+		}
+	}
+	e.Schedule(0, chain)
+	e.Schedule(0, chain)
+	e.Run()
+	if e.Executed() != n+2 || e.Now() != 0 {
+		t.Fatalf("fired %d events, clock %v; want %d at 0", e.Executed(), e.Now(), n+2)
+	}
+	if c := cap(e.due); c > 8 {
+		t.Fatalf("same-instant FIFO capacity %d after two interleaved chains, want <= 8", c)
+	}
+}
+
+// TestSameInstantAllocs is TestSteadyStateAllocs for the same-instant
+// path: once warm, a zero-delay schedule+fire cycle must not allocate.
+func TestSameInstantAllocs(t *testing.T) {
+	e := New()
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		e.Schedule(0, fn)
+	}
+	e.Run()
+	avg := testing.AllocsPerRun(200, func() {
+		e.Schedule(0, fn)
+		e.Step()
+	})
+	if avg > 0 {
+		t.Fatalf("steady-state zero-delay schedule+fire allocates %.2f objects per cycle, want 0", avg)
+	}
 }
 
 // TestSteadyStateAllocs is the alloc-count regression test for the event

@@ -58,7 +58,7 @@ type Event struct {
 	seq      uint64
 	gen      uint64 // incremented on reuse; Handle validity check
 	fn       func()
-	index    int // heap index; -1 when not queued
+	index    int // heap index; -1 when not in the heap (due FIFO or retired)
 	canceled bool
 }
 
@@ -200,10 +200,27 @@ const maxFreeEvents = 4096
 
 // Engine is a discrete-event simulator. The zero value is not usable; use
 // New.
+//
+// Events live in one of two structures. An event scheduled for the
+// current instant (At(Now(), …), Schedule(0, …)) — the dispatches, wakes
+// and kicks a virtualization model defers without delay — is appended to
+// the due FIFO; every other event goes on the 4-ary heap. Firing order is
+// (at, seq) across both: every FIFO entry is due at now and the FIFO is
+// in seq order, so the next event is the FIFO head unless the heap head
+// is also due at now with a smaller seq (an event scheduled earlier with
+// a positive delay that lands on now). The clock advances only past an
+// empty FIFO, which RunUntil relies on when it moves the clock to its
+// target.
 type Engine struct {
 	now   Time
 	queue eventQueue
-	seq   uint64
+	// due holds the events scheduled at now, in seq order, from dueHead
+	// on; slots before dueHead are spent (nil). A canceled entry stays in
+	// place, counted in dueDead, until the FIFO reaches and recycles it.
+	due     []*Event
+	dueHead int
+	dueDead int
+	seq     uint64
 	// executed counts events that have fired, for diagnostics.
 	executed uint64
 	// free recycles fired/canceled Event objects, capped at maxFreeEvents;
@@ -224,7 +241,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Executed() uint64 { return e.executed }
 
 // Pending returns the number of events currently queued.
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int { return len(e.queue) + len(e.due) - e.dueHead - e.dueDead }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the
 // past panics: it always indicates a modelling bug.
@@ -239,14 +256,49 @@ func (e *Engine) At(t Time, fn func()) Handle {
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
 		e.free = e.free[:n-1]
-		gen := ev.gen + 1
-		*ev = Event{at: t, seq: e.seq, gen: gen, fn: fn, index: -1}
+		// Field by field: a struct literal would be built on the stack
+		// and copied in under a write barrier.
+		ev.at, ev.seq, ev.fn, ev.index, ev.canceled = t, e.seq, fn, -1, false
+		ev.gen++
 	} else {
 		ev = &Event{at: t, seq: e.seq, fn: fn, index: -1}
 	}
 	e.seq++
-	e.queue.push(ev)
+	if t == e.now {
+		e.pushDue(ev)
+	} else {
+		e.queue.push(ev)
+	}
 	return Handle{ev: ev, gen: ev.gen}
+}
+
+// pushDue appends ev to the due FIFO. When the backing array is full
+// and its spent prefix is at least half of it, the live entries move to
+// the front instead of the array growing, so interleaved same-instant
+// chains that never drain the FIFO keep it bounded.
+func (e *Engine) pushDue(ev *Event) {
+	if len(e.due) == cap(e.due) && e.dueHead > 0 && 2*e.dueHead >= len(e.due) {
+		n := copy(e.due, e.due[e.dueHead:])
+		clear(e.due[n:])
+		e.due, e.dueHead = e.due[:n], 0
+	}
+	e.due = append(e.due, ev)
+}
+
+// popDue removes the FIFO head, rewinding the FIFO when it drains.
+func (e *Engine) popDue() {
+	e.due[e.dueHead] = nil
+	e.dueHead++
+	if e.dueHead == len(e.due) {
+		e.due, e.dueHead = e.due[:0], 0
+	}
+}
+
+// recycle returns a retired event to the free list, up to its cap.
+func (e *Engine) recycle(ev *Event) {
+	if len(e.free) < maxFreeEvents {
+		e.free = append(e.free, ev)
+	}
 }
 
 // Schedule schedules fn to run d after the current time.
@@ -266,38 +318,46 @@ func (e *Engine) Cancel(h Handle) {
 	}
 	ev := h.ev
 	ev.canceled = true
-	if ev.index >= 0 {
-		e.queue.remove(ev.index)
-	}
 	ev.fn = nil
-	if len(e.free) < maxFreeEvents {
-		e.free = append(e.free, ev)
+	if ev.index < 0 {
+		// In the due FIFO: recycling it now would let the FIFO hand the
+		// object out twice, so peek recycles it when it reaches it.
+		e.dueDead++
+		return
 	}
+	e.queue.remove(ev.index)
+	e.recycle(ev)
 }
 
 // Step fires the next pending event. It returns false when the queue is
 // empty.
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		ev := e.queue.popMin()
-		if ev.canceled {
-			continue
-		}
+	ev := e.peek()
+	if ev == nil {
+		return false
+	}
+	e.fire(ev)
+	return true
+}
+
+// fire removes ev, the event peek returned, from its structure, advances
+// the clock to it and runs it.
+func (e *Engine) fire(ev *Event) {
+	if ev.index < 0 {
+		e.popDue()
+	} else {
 		if ev.at < e.now {
 			panic(fmt.Sprintf("sim: clock regression: event at %v, now %v", ev.at, e.now))
 		}
+		e.queue.popMin()
 		e.now = ev.at
-		fn := ev.fn
-		ev.fn = nil
-		ev.canceled = true // fired; a late Cancel must be a no-op
-		if len(e.free) < maxFreeEvents {
-			e.free = append(e.free, ev)
-		}
-		e.executed++
-		fn()
-		return true
 	}
-	return false
+	fn := ev.fn
+	ev.fn = nil
+	ev.canceled = true // fired; a late Cancel must be a no-op
+	e.recycle(ev)
+	e.executed++
+	fn()
 }
 
 // Run fires events until the queue drains.
@@ -315,8 +375,10 @@ func (e *Engine) RunUntil(t Time) {
 		if ev == nil || ev.at > t {
 			break
 		}
-		e.Step()
+		e.fire(ev)
 	}
+	// The due FIFO is empty here unless t < now (its events are due at
+	// now), so moving the clock strands none of them in the past.
 	if t > e.now {
 		e.now = t
 	}
@@ -336,13 +398,36 @@ func (e *Engine) NextEventAt() (Time, bool) {
 	return ev.at, true
 }
 
+// peek returns the next event in (at, seq) order without removing it.
+// The heap never holds a canceled event: Cancel removes those at once.
 func (e *Engine) peek() *Event {
-	for len(e.queue) > 0 {
-		ev := e.queue[0]
-		if !ev.canceled {
-			return ev
+	if e.dueHead < len(e.due) {
+		return e.peekDue()
+	}
+	if len(e.queue) > 0 {
+		return e.queue[0]
+	}
+	return nil
+}
+
+// peekDue is peek with a nonempty due FIFO. It recycles the canceled
+// FIFO entries it skips.
+func (e *Engine) peekDue() *Event {
+	for e.dueHead < len(e.due) {
+		ev := e.due[e.dueHead]
+		if ev.canceled {
+			e.popDue()
+			e.dueDead--
+			e.recycle(ev)
+			continue
 		}
-		e.queue.popMin()
+		if len(e.queue) > 0 && e.queue[0].at == ev.at && e.queue[0].seq < ev.seq {
+			return e.queue[0]
+		}
+		return ev
+	}
+	if len(e.queue) > 0 {
+		return e.queue[0]
 	}
 	return nil
 }
